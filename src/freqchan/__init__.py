@@ -72,4 +72,4 @@ from .special_fn import (
     zeta,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"

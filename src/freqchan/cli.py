@@ -162,6 +162,11 @@ def cmd_exponents(args: argparse.Namespace) -> int:
     rates = parse_range(args.rate)
     if args.gnuplot and args.which == "both":
         raise UsageError("--gnuplot needs --which rc or ex to pick a curve")
+    if not (math.isfinite(args.r) and args.r > 0.0):
+        raise UsageError(f"--r must be finite and positive, got {args.r}")
+    if not (math.isfinite(args.rho_max) and args.rho_max > 1.0):
+        raise UsageError(f"--rho-max must be finite and exceed 1, "
+                         f"got {args.rho_max}")
     rc_settings = RcSettings()
     ex_settings = ExSettings(rho_max=args.rho_max)
 

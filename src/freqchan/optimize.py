@@ -16,8 +16,10 @@ __all__ = [
     "EvaluationError",
     "OptimizerSettings",
     "SearchInterval",
+    "coarse_grid",
     "maximize_scalar",
     "minimize_scalar",
+    "refine_cell",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -72,23 +74,31 @@ class OptimizerSettings:
             raise ValueError("open_margin must lie in (0, 0.5)")
 
 
-def maximize_scalar(
+def coarse_grid(interval: SearchInterval,
+                settings: OptimizerSettings) -> list[float]:
+    """The coarse scan points: evenly spaced, the last one exactly ``hi``."""
+    lo, hi = interval.effective_bounds(settings.open_margin)
+    m = settings.coarse_points
+    step = (hi - lo) / (m - 1)
+    return [lo + i * step for i in range(m - 1)] + [hi]
+
+
+def refine_cell(
     objective: Callable[[float], float],
     interval: SearchInterval,
-    settings: OptimizerSettings | None = None,
+    settings: OptimizerSettings,
+    i_best: int,
+    v_best: float,
 ) -> tuple[float, float]:
-    """Return (argmax, value) of ``objective`` over ``interval``.
+    """Golden-section polish in the two cells around coarse point ``i_best``.
 
-    Non-finite objective values are treated as -inf; if the entire
-    coarse grid is non-finite an EvaluationError carrying the first
-    offending point is raised.  The returned value is the best value
-    actually evaluated, so it is never below any coarse-grid value.
+    ``v_best`` is the objective there; returns the best (x, value)
+    evaluated, so callers that scan the grid as an array can polish.
     """
-    settings = settings or OptimizerSettings()
     lo, hi = interval.effective_bounds(settings.open_margin)
-
-    best_x = math.nan
-    best_v = -math.inf
+    step = (hi - lo) / (settings.coarse_points - 1)
+    best_x = lo + i_best * step if i_best < settings.coarse_points - 1 else hi
+    best_v = v_best
 
     def probe(x: float) -> float:
         nonlocal best_x, best_v
@@ -99,21 +109,8 @@ def maximize_scalar(
             best_x, best_v = x, v
         return v
 
-    m = settings.coarse_points
-    step = (hi - lo) / (m - 1)
-    grid_vals = []
-    for i in range(m):
-        x = lo + i * step if i < m - 1 else hi
-        grid_vals.append(probe(x))
-    if best_v == -math.inf:
-        raise EvaluationError(
-            "objective is non-finite on the entire coarse grid", lo)
-
-    i_best = max(range(m), key=lambda i: grid_vals[i])
     a = lo + max(i_best - 1, 0) * step
     b = min(lo + (i_best + 1) * step, hi)
-
-    # Golden-section refinement inside the bracketing cells.
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = probe(c)
@@ -131,6 +128,32 @@ def maximize_scalar(
             fd = probe(d)
 
     return best_x, best_v
+
+
+def maximize_scalar(
+    objective: Callable[[float], float],
+    interval: SearchInterval,
+    settings: OptimizerSettings | None = None,
+) -> tuple[float, float]:
+    """Return (argmax, value) of ``objective`` over ``interval``.
+
+    Non-finite objective values are treated as -inf; if the entire
+    coarse grid is non-finite an EvaluationError carrying the first
+    offending point is raised.  The returned value is the best value
+    actually evaluated, so it is never below any coarse-grid value.
+    """
+    settings = settings or OptimizerSettings()
+    grid_vals = []
+    for x in coarse_grid(interval, settings):
+        v = objective(x)
+        grid_vals.append(v if math.isfinite(v) else -math.inf)
+    i_best = max(range(len(grid_vals)), key=grid_vals.__getitem__)
+    if grid_vals[i_best] == -math.inf:
+        raise EvaluationError(
+            "objective is non-finite on the entire coarse grid",
+            interval.effective_bounds(settings.open_margin)[0])
+    return refine_cell(objective, interval, settings, i_best,
+                       grid_vals[i_best])
 
 
 def minimize_scalar(

@@ -4,6 +4,14 @@ Provides the two scalar functionals the achievability analysis is built
 from (``lambda_fn`` and ``delta_fn``), the error exponent and the
 achievable-rate bound obtained by optimizing them, and the finite-n
 probability ceilings implied at the optimized parameters.
+
+Both optimized quantities grow with A = Lambda(r, alpha, xi) - xi Delta(r)
+(the exponent maximizes [A - R]_+ / (1 + xi), the rate bound A itself),
+so the max over alpha is taken first.  The profile A*(xi) = max_alpha A
+does not depend on the rate; it is cached per (r, Delta, settings) on
+the coarse xi grid, and each rate costs an argmax over it plus a polish
+in xi.  Each alpha max scans its grid as one array evaluation of Lambda
+and polishes the best cell with the scalar ``lambda_fn``.
 """
 
 from __future__ import annotations
@@ -13,11 +21,15 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy.special import gammaln, xlogy
+
 from .optimize import (
     OptimizerSettings,
     SearchInterval,
-    maximize_scalar,
+    coarse_grid,
     minimize_scalar,
+    refine_cell,
 )
 from .special_fn import log_gamma, psi_fn, zeta
 
@@ -180,34 +192,58 @@ def _warn_capped(name: str, value: float, cap: float) -> None:
             "consider raising the cap in RcSettings", CapWarning, stacklevel=3)
 
 
-def _inner_xi_max(r: float, alpha: float, delta: float, rate: float | None,
-                  settings: RcSettings) -> tuple[float, float]:
-    """sup over xi of the objective at fixed alpha.
+def _lambda_array(r: float, alpha: np.ndarray, xi: float) -> np.ndarray:
+    """``lambda_fn`` over an array of alpha, used to pick the cell to polish."""
+    t = xi * r / alpha
+    psi = (1.0 + t) * np.log1p(t) - xlogy(t, t)
+    return (alpha * psi - (alpha - 0.5) * np.log(alpha + xi * r)
+            - _HALF_LOG_2PI + gammaln(alpha))
 
-    With a rate the objective is [Lambda - xi Delta - R]_+ / (1 + xi),
-    the closed-form elimination of mu; with ``rate=None`` it is the rate
-    form Lambda - xi Delta.
-    """
-    if rate is not None:
-        def obj(xi: float) -> float:
-            a = lambda_fn(r, alpha, xi) - xi * delta - rate
-            return max(a, 0.0) / (1.0 + xi)
-    else:
-        def obj(xi: float) -> float:
-            return lambda_fn(r, alpha, xi) - xi * delta
 
+@functools.lru_cache(maxsize=64)
+def _grid(interval: SearchInterval, optimizer: OptimizerSettings) -> np.ndarray:
+    return np.array(coarse_grid(interval, optimizer))
+
+
+def _alpha_max(r: float, delta: float, xi: float,
+               settings: RcSettings) -> tuple[float, float]:
+    """(alpha, A) maximizing A = Lambda(r, alpha, xi) - xi Delta at fixed xi."""
+    interval = SearchInterval(0.5, settings.alpha_cap, open_lo=True)
+    alphas = _grid(interval, settings.optimizer)
+    i_best = int(np.argmax(_lambda_array(r, alphas, xi)))
+
+    def obj(alpha: float) -> float:
+        return lambda_fn(r, alpha, xi) - xi * delta
+
+    return refine_cell(obj, interval, settings.optimizer, i_best,
+                       obj(float(alphas[i_best])))
+
+
+@functools.lru_cache(maxsize=64)
+def _xi_profile(r: float, delta: float, settings: RcSettings) -> np.ndarray:
+    """A*(xi) = max over alpha of A(alpha, xi) on the coarse xi grid."""
     interval = SearchInterval(0.0, settings.xi_cap, open_lo=True)
-    return maximize_scalar(obj, interval, settings.optimizer)
+    return np.array([_alpha_max(r, delta, xi, settings)[1]
+                     for xi in coarse_grid(interval, settings.optimizer)])
 
 
-def _nested_max(r: float, delta: float, rate: float | None,
-                settings: RcSettings) -> tuple[float, float, float]:
-    """Maximize over alpha > 1/2 and xi > 0; returns (alpha, xi, value)."""
-    alpha_interval = SearchInterval(0.5, settings.alpha_cap, open_lo=True)
-    alpha_star, _ = maximize_scalar(
-        lambda a: _inner_xi_max(r, a, delta, rate, settings)[1],
-        alpha_interval, settings.optimizer)
-    xi_star, value = _inner_xi_max(r, alpha_star, delta, rate, settings)
+def _maximize(r: float, rate: float | None,
+              settings: RcSettings) -> tuple[float, float, float]:
+    """(alpha, xi, value) maximizing [A - R]_+ / (1 + xi), or A itself
+    when ``rate`` is None."""
+    def objective(a, xi):
+        return a if rate is None else np.maximum(a - rate, 0.0) / (1.0 + xi)
+
+    r = float(r)
+    delta = delta_fn(r, settings)
+    interval = SearchInterval(0.0, settings.xi_cap, open_lo=True)
+    grid_vals = objective(_xi_profile(r, delta, settings),
+                          _grid(interval, settings.optimizer))
+    i_best = int(np.argmax(grid_vals))
+    xi_star, value = refine_cell(
+        lambda xi: float(objective(_alpha_max(r, delta, xi, settings)[1], xi)),
+        interval, settings.optimizer, i_best, float(grid_vals[i_best]))
+    alpha_star, _ = _alpha_max(r, delta, xi_star, settings)
     _warn_capped("alpha", alpha_star, settings.alpha_cap)
     _warn_capped("xi", xi_star, settings.xi_cap)
     return alpha_star, xi_star, value
@@ -226,9 +262,7 @@ def rc_exponent(query: BoundQuery,
     reported.
     """
     settings = settings or RcSettings()
-    delta = delta_fn(query.r, settings)
-    alpha_star, xi_star, value = _nested_max(
-        query.r, delta, query.R, settings)
+    alpha_star, xi_star, value = _maximize(query.r, query.R, settings)
     e_val = max(value, 0.0)
     mu_star = e_val if e_val > 0.0 else settings.optimizer.tol
     if mu_star > settings.mu_cap:
@@ -245,17 +279,8 @@ def rate_lower_bound(r: float, settings: RcSettings | None = None) -> float:
     The value is in nats and never exceeds the converse rate log(r)/2;
     for very small r it can be negative (a vacuous but valid bound).
     """
-    _, _, value = _rate_lower_bound_witness(r, settings or RcSettings())
+    _, _, value = _maximize(r, None, settings or RcSettings())
     return value
-
-
-def _rate_lower_bound_witness(
-        r: float, settings: RcSettings) -> tuple[float, float, float]:
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"r must be positive, got {r}")
-    delta = delta_fn(r, settings)
-    alpha_star, xi_star, value = _nested_max(r, delta, None, settings)
-    return alpha_star, xi_star, value
 
 
 def thm1_probability_bound(query: BoundQuery,

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import freqchan
 import freqchan.verify
 from freqchan.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED,
                           RunManifest, UsageError, main, parse_range,
@@ -77,6 +81,19 @@ class TestExponentsCommand:
         code = main(["exponents", "--r", "400", "--rate", "0:0:1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--r", "inf"), ("--r", "nan"), ("--r", "0"), ("--r", "-4"),
+        ("--rho-max", "nan"), ("--rho-max", "inf"), ("--rho-max", "1"),
+    ])
+    def test_bad_number_is_usage_error(self, tmp_path, flag, value):
+        argv = {"--r": "400", "--rho-max": "1000"}
+        argv[flag] = value
+        code = main(["exponents", "--r", argv["--r"], "--rate", "0:0.01:0.01",
+                     "--rho-max", argv["--rho-max"],
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_path_is_io_error(self):
         code = main(["exponents", "--r", "400", "--rate", "1.5:1.6:0.1",
@@ -244,3 +261,30 @@ class TestUsageSurface:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+class TestModuleEntryPoint:
+    """``python -m freqchan`` runs the same CLI as the console script."""
+
+    @staticmethod
+    def _run(*argv):
+        src = os.path.dirname(os.path.dirname(freqchan.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "freqchan", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_rates_writes_csv(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        proc = self._run("rates", "--r", "1:2:1", "--out", str(out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = _read(out).strip().split("\n")
+        assert lines[0] == "r,R_LB,converse" and len(lines) == 3
+
+    def test_usage_error_exit_code(self, tmp_path):
+        proc = self._run("exponents", "--r", "inf", "--rate", "0:0.01:0.01",
+                         "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == EXIT_USAGE
+        assert "usage error" in proc.stderr

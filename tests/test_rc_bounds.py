@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from freqchan.optimize import OptimizerSettings, SearchInterval
+from freqchan.optimize import (OptimizerSettings, SearchInterval,
+                               maximize_scalar)
 from freqchan.rc_bounds import (BoundQuery, CapWarning, ExponentPoint, KlTailBound,
                          RcParams, RcSettings, chernoff_pairwise_bound,
                          delta_fn, lambda_fn, lemma1_tail_bound,
@@ -181,6 +182,43 @@ class TestRateLowerBound:
         rlb = rate_lower_bound(r)
         assert rc_exponent(BoundQuery(R=rlb + 0.01, r=r)).E == 0.0
         assert rc_exponent(BoundQuery(R=max(rlb - 0.01, 0.0), r=r)).E > 0.0
+
+
+def _nested_reference(r: float, rate: float | None,
+                      settings: RcSettings) -> float:
+    """The alpha-outer, xi-inner nested search, kept as the reference for
+    the profile engine that takes the alpha max first."""
+    delta = delta_fn(r, settings)
+    xi_interval = SearchInterval(0.0, settings.xi_cap, open_lo=True)
+
+    def inner(alpha: float) -> float:
+        def obj(xi: float) -> float:
+            a = lambda_fn(r, alpha, xi) - xi * delta
+            return a if rate is None else max(a - rate, 0.0) / (1.0 + xi)
+        return maximize_scalar(obj, xi_interval, settings.optimizer)[1]
+
+    alpha_interval = SearchInterval(0.5, settings.alpha_cap, open_lo=True)
+    return maximize_scalar(inner, alpha_interval, settings.optimizer)[1]
+
+
+class TestOrderSwap:
+    """Taking the alpha max first gives the nested search's values."""
+
+    SETTINGS = RcSettings(optimizer=OptimizerSettings(coarse_points=65))
+
+    @pytest.mark.parametrize("R, r", [
+        (0.0, 400.0), (1.0, 400.0), (0.2, 10.0), (0.1, 1.0), (0.0, 0.5),
+    ])
+    def test_exponent_matches_nested_search(self, R, r):
+        got = rc_exponent(BoundQuery(R=R, r=r), self.SETTINGS).E
+        want = max(_nested_reference(r, R, self.SETTINGS), 0.0)
+        assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("r", [0.5, 10.0, 400.0])
+    def test_rate_bound_matches_nested_search(self, r):
+        got = rate_lower_bound(r, self.SETTINGS)
+        assert got == pytest.approx(
+            _nested_reference(r, None, self.SETTINGS), abs=1e-9)
 
 
 class TestFiniteNBounds:
