@@ -32,7 +32,6 @@ from .ex_bounds import (
     ExExponentPoint,
     ExParams,
     ExSettings,
-    QuadratureSettings,
     ex_exponent,
     f_kappa,
     g_fn,
@@ -72,4 +71,4 @@ from .special_fn import (
     zeta,
 )
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rel_entr, xlogy
 
-from .ex_bounds import ExSettings, l_fn
+from .ex_bounds import l_fn
 from .rc_bounds import BoundQuery, KlTailBound, RcSettings, lemma1_tail_bound, thm1_probability_bound
 from .special_fn import log_gamma
 
@@ -56,6 +56,9 @@ _STREAM_BC_CHUNK = 2
 _STREAM_FIXED_CODEBOOK = 3
 _STREAM_MOMENT_CHUNK = 4
 _CHUNK = 4096
+# Largest codebook a simulation may draw, in M * n entries (128 MiB of
+# float64); beyond it a config is rejected before anything is allocated.
+_MAX_CODEBOOK_ENTRIES = 1 << 24
 
 
 class DecodeError(RuntimeError):
@@ -186,6 +189,12 @@ class SimConfig:
             raise ValueError(f"R must be finite and >= 0, got {self.R}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be a positive count")
+        # In log space, so that exp(n R) is never formed when it is huge.
+        log_m = math.log(self.M) if self.M is not None else self.n * self.R
+        if log_m > math.log(_MAX_CODEBOOK_ENTRIES / self.n):
+            raise ValueError(f"exp({log_m:.6g}) codewords of length {self.n} "
+                             f"exceed the codebook budget of "
+                             f"{_MAX_CODEBOOK_ENTRIES} entries")
 
     @property
     def reads(self) -> int:
@@ -476,15 +485,14 @@ def _bc_tail_chunk(args) -> int:
 
 
 def estimate_bc_tail(n: int, lam: float, trials: int, seed: int,
-                     parallelism: int = 1,
-                     settings: ExSettings | None = None) -> BcTailReport:
+                     parallelism: int = 1) -> BcTailReport:
     """Empirical frequency of the overlap of two independent
     Dirichlet(1/2) points reaching lam, next to 4 exp(-n L(lam))."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if n < 1:
         raise ValueError(f"n must be a positive count, got {n}")
-    bound = 4.0 * math.exp(-n * l_fn(lam, settings))
+    bound = 4.0 * math.exp(-n * l_fn(lam))
     jobs = [
         (seed, n, lam, i, size)
         for i, size in enumerate(_chunk_sizes(trials))

@@ -1,24 +1,23 @@
-"""Expurgated-side bounds built on the |XY| moment-generating integral.
+"""Expurgated-side bounds built on the |XY| moment-generating function.
 
-The exponent here is a five-level nesting: a quadrature F, its
-Legendre-type transform G, a min-max against the chi-square rate
-function J giving L, a ratio trade-off giving S, and a final supremum
-over the expurgation power rho.  ``g_fn`` always optimizes against the
-quadrature directly; ``l_fn``/``s_fn``/``ex_exponent`` evaluate G and L
-through dense cached tables (built from the honest functions once per
-settings) so that rate sweeps stay fast.  Table interpolation error is
-bounded well below 1e-7 and is cross-checked by the test suite.
+Every level of the chain is a closed-form function of one kappa in [0, 1):
+F(kappa) = E exp(kappa |XY|) = (1 + (2/pi) asin kappa) / sqrt(1 - kappa^2)
+(Owen, "A table of normal integrals", 1980); x(kappa) = (log F)'(kappa),
+where the Legendre transform is G(x) = kappa x - log F(kappa); the L
+crossing G(lam sigma) = J(sigma) at sigma = -W0(-exp(-1 - 2 G)) and
+lam = x / sigma, where L(lam) = G; and the S crossing at
+rho = r log(1 / lam) / G, where S(r, rho) = G.  x, G and lam increase in
+kappa and rho decreases, so ``g_fn``, ``l_fn`` and ``s_fn`` each invert
+one of them by safeguarded Newton steps, and ``ex_exponent`` is one
+scalar search over kappa of rho (G - R).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
+from scipy.special import lambertw
 
 from .optimize import OptimizerSettings, SearchInterval, maximize_scalar
 from .rc_bounds import BoundQuery
@@ -28,7 +27,6 @@ __all__ = [
     "ExParams",
     "ExSettings",
     "MEAN_ABS_XY",
-    "QuadratureSettings",
     "ex_exponent",
     "f_kappa",
     "g_fn",
@@ -40,48 +38,21 @@ __all__ = [
 # E|XY| for independent standard normals; G and L vanish at or below it.
 MEAN_ABS_XY = 2.0 / math.pi
 
-_FOUR_OVER_SQRT_2PI = 4.0 / math.sqrt(2.0 * math.pi)
-_GL_NODES_PER_PANEL = 16
-# Table domains.  x = lam * sigma never exceeds 1, but the grid runs a
-# little past it so interpolation never extrapolates.
-_G_TABLE_HI = 1.02
-_G_TABLE_POINTS = 2203
-_L_TABLE_HI = 1.0 - 1e-9
-_L_TABLE_POINTS = 2203
-_CAP_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Composite Gauss-Legendre configuration for ``f_kappa``.
-
-    The integrand is truncated at T = truncation / sqrt(1 - kappa^2)
-    (at least ``truncation``), where the Gaussian tail contributes
-    exp(-truncation^2 / 2) ~ 5e-32, far below ``abs_tol``.
-    """
-
-    panels: int = 64
-    truncation: float = 12.0
-    abs_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.panels < 1:
-            raise ValueError("panels must be positive")
-        if self.truncation < 8.0:
-            raise ValueError("truncation below 8 would bite into the tail")
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be positive")
+# sigma comes from W0 near its branch point, so lam(kappa) carries noise of
+# about 1e-16 / (1 - sigma): a Newton step below _SOLVE_RTOL is at the noise.
+_SOLVE_RTOL = 1e-12
+_SOLVE_ATOL = 1e-20
+_SOLVE_ITERS = 100
 
 
 @dataclass(frozen=True)
 class ExSettings:
     rho_max: float = 1000.0
-    quadrature: QuadratureSettings = field(default_factory=QuadratureSettings)
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self) -> None:
-        if not self.rho_max > 1.0:
-            raise ValueError("rho_max must exceed 1")
+        if not (math.isfinite(self.rho_max) and self.rho_max > 1.0):
+            raise ValueError("rho_max must be finite and exceed 1")
 
 
 @dataclass(frozen=True)
@@ -116,77 +87,86 @@ class ExExponentPoint:
             raise ValueError(f"exponent must be nonnegative, got {self.E}")
 
 
-@functools.lru_cache(maxsize=16)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = leggauss(n)
-    return nodes, weights
-
-
-def _gl_integral(kappa: float, upper: float, panels: int) -> float:
-    """Gauss-Legendre value of the F integrand over [0, upper]."""
-    nodes, weights = _gl_rule(_GL_NODES_PER_PANEL)
-    edges = np.linspace(0.0, upper, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = mid[:, None] + half[:, None] * nodes[None, :]
-    w = half[:, None] * weights[None, :]
-    integrand = np.exp(-0.5 * (1.0 - kappa * kappa) * x * x) * ndtr(kappa * x)
-    return _FOUR_OVER_SQRT_2PI * float(np.sum(w * integrand))
-
-
-@functools.lru_cache(maxsize=1 << 17)
-def _f_cached(kappa: float, quad: QuadratureSettings) -> float:
-    upper = max(quad.truncation,
-                quad.truncation / math.sqrt(1.0 - kappa * kappa))
-    panels = quad.panels
-    value = _gl_integral(kappa, upper, panels)
-    # Double the panel count until the update is inside the tolerance.
-    for _ in range(3):
-        panels *= 2
-        refined = _gl_integral(kappa, upper, panels)
-        if abs(refined - value) <= quad.abs_tol:
-            return refined
-        value = refined
-    return value
-
-
-def f_kappa(kappa: float, quadrature: QuadratureSettings | None = None) -> float:
+def f_kappa(kappa: float) -> float:
     """E[exp(kappa |X Y|)] for independent standard normals X, Y.
 
-    Evaluated as (4 / sqrt(2 pi)) int_0^inf exp(-(1 - kappa^2) x^2 / 2)
-    Phi(kappa x) dx on a truncated domain.  Finite only for kappa < 1;
-    F(0) = 1 and F is increasing and convex on [0, 1).
+    Equals (1 + (2/pi) asin kappa) / sqrt(1 - kappa^2).  Finite only for
+    kappa < 1; F(0) = 1 and F is increasing and convex on [0, 1).
     """
     kappa = float(kappa)
     if not (math.isfinite(kappa) and 0.0 <= kappa < 1.0):
         raise ValueError(f"kappa must lie in [0, 1), got {kappa}")
-    return _f_cached(kappa, quadrature or QuadratureSettings())
+    return (1.0 + MEAN_ABS_XY * math.asin(kappa)) / math.sqrt(
+        (1.0 - kappa) * (1.0 + kappa))
 
 
-def _log_f(kappa: float, quad: QuadratureSettings) -> float:
-    return math.log(_f_cached(kappa, quad))
+def _chain(kappa: float) -> tuple[float, float, float, float, float, float]:
+    """(x, dx/dkappa, lam, dlam/dkappa, G, sigma) at kappa in (0, 1)."""
+    gap = (1.0 - kappa) * (1.0 + kappa)
+    root = math.sqrt(gap)
+    bend = MEAN_ABS_XY * math.asin(kappa)
+    a = 1.0 + bend
+    x = MEAN_ABS_XY / (root * a) + kappa / gap
+    dx = (MEAN_ABS_XY * (kappa * a / root - MEAN_ABS_XY) / (gap * a * a)
+          + (1.0 + kappa * kappa) / (gap * gap))
+    g = kappa * x - math.log1p(bend) + 0.5 * math.log1p(-kappa * kappa)
+    sigma = -float(lambertw(-math.exp(-1.0 - 2.0 * g)).real)
+    lam = x / sigma
+    # J(sigma) = G: (1 - 1/sigma) dsigma = 2 dG, with dG = kappa dx.  NaN
+    # (a bisection in _solve) where G is below sigma's resolution.
+    dsigma = (2.0 * kappa * dx * sigma / (sigma - 1.0) if sigma < 1.0
+              else math.nan)
+    return x, dx, lam, (dx - lam * dsigma) / sigma, g, sigma
 
 
-def _g_raw(x: float, quad: QuadratureSettings,
-           opt: OptimizerSettings) -> tuple[float, float]:
-    """(G(x), kappa witness) without the public-domain restriction.
+def _solve(phi) -> float:
+    """The root in (0, 1) of phi, increasing from phi(0) < 0.
 
-    The supremum over the open kappa interval includes the limit value 0
-    at kappa -> 0, so the result is clamped to be nonnegative; at or
-    below E|XY| the objective has nonpositive slope everywhere and the
-    supremum is exactly 0.
+    ``phi(kappa)`` returns (value, slope).  A Newton step that leaves the
+    bracket, or is not half the previous step, becomes a bisection.
     """
-    if x <= MEAN_ABS_XY:
-        return 0.0, 0.0
-    interval = SearchInterval(0.0, 1.0, open_lo=True, open_hi=True)
-    kappa_star, value = maximize_scalar(
-        lambda k: k * x - _log_f(k, quad), interval, opt)
-    if value <= 0.0:
-        return 0.0, 0.0
-    return value, kappa_star
+    lo, hi = 0.0, 1.0
+    kappa = step = 0.2  # just above every L and S root: lam(0.19285) = 1
+    for _ in range(_SOLVE_ITERS):
+        value, slope = phi(kappa)
+        newton = value / slope
+        if abs(newton) <= _SOLVE_RTOL * kappa:
+            return kappa - newton
+        if value < 0.0:
+            lo = kappa
+        else:
+            hi = kappa
+        nxt = kappa - newton
+        if not (lo < nxt < hi and abs(newton) <= 0.5 * step):
+            nxt = 0.5 * (lo + hi)
+        if hi - lo <= _SOLVE_RTOL * hi + _SOLVE_ATOL:
+            return nxt
+        step = abs(nxt - kappa)
+        kappa = nxt
+    raise ArithmeticError(f"kappa solve did not converge, last {kappa}")
 
 
-def g_fn(x: float, settings: ExSettings | None = None) -> float:
+def _kappa_at(level: int, target: float) -> float:
+    """kappa where x (level 0) or lam (level 2) equals target."""
+
+    def phi(kappa: float) -> tuple[float, float]:
+        c = _chain(kappa)
+        return c[level] - target, c[level + 1]
+
+    return _solve(phi)
+
+
+def _kappa_at_rho(r: float, rho: float) -> float:
+    """kappa with rho(kappa) = rho: the root of rho G + r log lam."""
+
+    def phi(kappa: float) -> tuple[float, float]:
+        _, dx, lam, dlam, g, _ = _chain(kappa)
+        return rho * g + r * math.log(lam), rho * kappa * dx + r * dlam / lam
+
+    return _solve(phi)
+
+
+def g_fn(x: float) -> float:
     """sup over kappa in (0, 1) of kappa x - log F(kappa).
 
     Zero for x <= E|XY| = 2/pi and strictly positive above it.
@@ -194,9 +174,9 @@ def g_fn(x: float, settings: ExSettings | None = None) -> float:
     x = float(x)
     if not (math.isfinite(x) and 0.0 <= x < 1.0):
         raise ValueError(f"x must lie in [0, 1), got {x}")
-    settings = settings or ExSettings()
-    value, _ = _g_raw(x, settings.quadrature, settings.optimizer)
-    return value
+    if x <= MEAN_ABS_XY:
+        return 0.0
+    return _chain(_kappa_at(0, x))[4]
 
 
 def j_fn(sigma: float) -> float:
@@ -207,108 +187,27 @@ def j_fn(sigma: float) -> float:
     return 0.5 * (sigma - math.log(sigma) - 1.0)
 
 
-@functools.lru_cache(maxsize=8)
-def _g_table(quad: QuadratureSettings,
-             opt: OptimizerSettings) -> tuple[np.ndarray, np.ndarray]:
-    """Dense table of G on [2/pi, _G_TABLE_HI], built from ``_g_raw``.
-
-    Linear interpolation between nodes is accurate to about h^2 G'' / 8
-    ~ 8e-9 at this grid density, and G is exactly zero left of the first
-    node, so no interpolation happens across the kink.
-    """
-    xs = np.linspace(MEAN_ABS_XY, _G_TABLE_HI, _G_TABLE_POINTS)
-    vals = np.array([_g_raw(float(x), quad, opt)[0] for x in xs])
-    return xs, vals
-
-
-def _g_interp(x: float, quad: QuadratureSettings,
-              opt: OptimizerSettings) -> float:
-    if x <= MEAN_ABS_XY:
-        return 0.0
-    xs, vals = _g_table(quad, opt)
-    return float(np.interp(x, xs, vals))
-
-
-def _l_raw(lam: float, settings: ExSettings) -> tuple[float, float]:
-    """(L(lam), sigma witness) with G evaluated through the cached table."""
-    quad, opt = settings.quadrature, settings.optimizer
-    if lam <= MEAN_ABS_XY:
-        # G(lam sigma) = 0 for every sigma < 1, so the min is never positive.
-        return 0.0, 0.0
-
-    def gpart(sigma: float) -> float:
-        return _g_interp(lam * sigma, quad, opt)
-
-    lo, hi = SearchInterval(0.0, 1.0, open_lo=True, open_hi=True) \
-        .effective_bounds(opt.open_margin)
-    # G(lam sigma) increases in sigma while J decreases, so the maximin
-    # sits at their crossing; locate it by bisection and polish around it.
-    if gpart(hi) - j_fn(hi) <= 0.0:
-        return 0.0, 0.0
-    a, b = lo, hi
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        if gpart(m) - j_fn(m) > 0.0:
-            b = m
-        else:
-            a = m
-    bracket = SearchInterval(max(lo, a - 0.02), min(hi, b + 0.02))
-    sigma_star, value = maximize_scalar(
-        lambda s: min(gpart(s), j_fn(s)), bracket, opt)
-    return max(value, 0.0), sigma_star
-
-
-def l_fn(lam: float, settings: ExSettings | None = None) -> float:
+def l_fn(lam: float) -> float:
     """sup over sigma in (0, 1) of min(G(lam sigma), J(sigma)).
 
-    Computed by ``maximize_scalar`` warm-started at the crossing of the
-    increasing G part and the decreasing J part.  Zero at or below
-    lam = 2/pi, strictly positive and nondecreasing above it.
+    G(lam sigma) increases in sigma and J decreases, so the value is the
+    height of their crossing, G(kappa) at lam(kappa) = lam.  Zero at or
+    below lam = 2/pi, strictly positive and increasing above it.
     """
     lam = float(lam)
     if not (math.isfinite(lam) and 0.0 < lam < 1.0):
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
-    value, _ = _l_raw(lam, settings or ExSettings())
-    return value
-
-
-@functools.lru_cache(maxsize=8)
-def _l_table(settings: ExSettings) -> tuple[np.ndarray, np.ndarray]:
-    lams = np.linspace(MEAN_ABS_XY, _L_TABLE_HI, _L_TABLE_POINTS)
-    vals = np.array([_l_raw(float(l), settings)[0] for l in lams])
-    return lams, vals
-
-
-def _l_interp(lam: float, settings: ExSettings) -> float:
     if lam <= MEAN_ABS_XY:
         return 0.0
-    lams, vals = _l_table(settings)
-    return float(np.interp(lam, lams, vals))
+    return _chain(_kappa_at(2, lam))[4]
 
 
-def _s_raw(r: float, rho: float, settings: ExSettings) -> tuple[float, float]:
-    """(S(r, rho), lam witness) with L evaluated through the cached table."""
-
-    def obj(lam: float) -> float:
-        return min((r / rho) * math.log(1.0 / lam), _l_interp(lam, settings))
-
-    # Below 2/pi the L side is zero, so the supremum lives on (2/pi, 1).
-    interval = SearchInterval(MEAN_ABS_XY, 1.0, open_lo=True, open_hi=True)
-    lam_star, value = maximize_scalar(obj, interval, settings.optimizer)
-    return max(value, 0.0), lam_star
-
-
-@functools.lru_cache(maxsize=1 << 18)
-def _s_cached(r: float, rho: float, settings: ExSettings) -> tuple[float, float]:
-    return _s_raw(r, rho, settings)
-
-
-def s_fn(r: float, rho: float, settings: ExSettings | None = None) -> float:
+def s_fn(r: float, rho: float) -> float:
     """sup over lam in (0, 1) of min((r / rho) log(1 / lam), L(lam)).
 
     The first branch decreases in lam, L is nondecreasing, so the value
-    is the height of their crossing; it is nonnegative and decreasing
-    in rho.
+    is the height of their crossing, G(kappa) at rho(kappa) = rho; it is
+    positive and decreasing in rho.
     """
     r = float(r)
     rho = float(rho)
@@ -316,45 +215,40 @@ def s_fn(r: float, rho: float, settings: ExSettings | None = None) -> float:
         raise ValueError(f"r must be positive, got {r}")
     if not (math.isfinite(rho) and rho > 1.0):
         raise ValueError(f"rho must exceed 1, got {rho}")
-    value, _ = _s_cached(r, rho, settings or ExSettings())
-    return value
-
-
-def _inset(v: float, opt: OptimizerSettings) -> float:
-    """Clamp a degenerate witness into the open unit interval."""
-    return min(max(v, opt.open_margin), 1.0 - opt.open_margin)
+    return _chain(_kappa_at_rho(r, rho))[4]
 
 
 def ex_exponent(query: BoundQuery,
                 settings: ExSettings | None = None) -> ExExponentPoint:
     """max(0, sup over rho in (1, rho_max] of rho (S(r, rho) - R)).
 
-    ``rho_capped`` records whether the argmax landed on rho_max; at very
-    low rates the objective keeps growing in rho, so the reported value
-    is then a function of the configured cap rather than a converged
-    supremum.
+    Searched over kappa in [kappa(rho_max), kappa(1)).  ``rho_capped``
+    records that the argmax is the rho_max end; at very low rates the
+    objective keeps growing in rho, so the reported value is then a
+    function of the configured cap rather than a converged supremum.
     """
-    R = query.R
-    r = query.r
+    R, r = query.R, query.r
     settings = settings or ExSettings()
 
-    def obj(rho: float) -> float:
-        return rho * (_s_cached(r, rho, settings)[0] - R)
+    def obj(kappa: float) -> float:
+        _, _, lam, _, g, _ = _chain(kappa)
+        return r * math.log(1.0 / lam) * (1.0 - R / g)
 
-    interval = SearchInterval(1.0, settings.rho_max, open_lo=True)
-    rho_star, value = maximize_scalar(obj, interval, settings.optimizer)
-    capped = rho_star >= settings.rho_max * (1.0 - _CAP_RTOL)
-
-    _, lam_star = _s_cached(r, rho_star, settings)
-    _, sigma_star = _l_raw(lam_star, settings)
-    _, kappa_star = _g_raw(lam_star * sigma_star,
-                           settings.quadrature, settings.optimizer)
-    opt = settings.optimizer
-    witness = ExParams(
-        kappa=_inset(kappa_star, opt),
-        sigma=_inset(sigma_star, opt),
-        lam=_inset(lam_star, opt),
-        rho=rho_star,
-    )
+    k_cap = _kappa_at_rho(r, settings.rho_max)
+    k_one = _kappa_at_rho(r, 1.0)
+    if k_cap < k_one:
+        interval = SearchInterval(k_cap, k_one, open_hi=True)
+        kappa, value = maximize_scalar(obj, interval, settings.optimizer)
+    else:  # rho_max is within rounding of 1
+        kappa, value = k_cap, obj(k_cap)
+    # refine_cell returns the exact grid end when no probe beats it.
+    capped = kappa == k_cap
+    _, _, lam, _, g, sigma = _chain(kappa)
+    # Near rho = 1, lam is near 1 and log(1 / lam) keeps only ~1e-11 of
+    # relative accuracy, so rounding can push rho just outside (1, rho_max].
+    rho = min(max(r * math.log(1.0 / lam) / g, math.nextafter(1.0, 2.0)),
+              settings.rho_max)
+    witness = ExParams(kappa=kappa, sigma=sigma, lam=lam,
+                       rho=settings.rho_max if capped else rho)
     return ExExponentPoint(R=R, E=max(value, 0.0), argmax=witness,
                            rho_capped=capped)

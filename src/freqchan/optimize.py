@@ -3,7 +3,7 @@
 The strategy everywhere is a coarse grid scan followed by golden-section
 refinement around the best grid cell.  It is derivative-free on purpose:
 the objectives fed to this module contain inner optimizations and
-quadrature, so gradients would be noisy and fragile.
+root solves, so gradients would be noisy and fragile.
 """
 
 from __future__ import annotations

@@ -120,27 +120,27 @@ def _suite_ex(seed: int) -> list[Check]:
     checks: list[Check] = []
     settings = ExSettings()
 
-    f0 = f_kappa(0.0, settings.quadrature)
+    f0 = f_kappa(0.0)
     ok = _close(f0, 1.0, 1e-9)
-    fs = [f_kappa(k, settings.quadrature) for k in (0.0, 0.2, 0.5, 0.8, 0.95)]
+    fs = [f_kappa(k) for k in (0.0, 0.2, 0.5, 0.8, 0.95)]
     ok = ok and all(a < b for a, b in zip(fs, fs[1:]))
     checks.append(("pair moment generating value at 0, increasing", ok,
                    f"F(0)={f0:.12g} F(0.8)={fs[3]:.9g}"))
 
-    below = max(g_fn(x, settings) for x in (0.0, 0.3, MEAN_ABS_XY - 1e-3))
-    above = g_fn(0.9, settings)
+    below = max(g_fn(x) for x in (0.0, 0.3, MEAN_ABS_XY - 1e-3))
+    above = g_fn(0.9)
     ok = below <= 1e-9 and above > 1e-3
     checks.append(("overlap rate function zero below the mean", ok,
                    f"G(0.9)={above:.9g}"))
 
     ok = j_fn(1.0) == 0.0 and j_fn(0.5) > j_fn(0.9) > 0.0
-    ls = [l_fn(lam, settings) for lam in (0.5, MEAN_ABS_XY, 0.8, 0.95)]
+    ls = [l_fn(lam) for lam in (0.5, MEAN_ABS_XY, 0.8, 0.95)]
     ok = ok and ls[0] == 0.0 and ls[1] == 0.0 and 0.0 < ls[2] < ls[3]
     checks.append(("norm penalty and combined overlap rate", ok,
                    f"L(0.95)={ls[3]:.9g}"))
 
-    s_hi = s_fn(400.0, 10.0, settings)
-    s_lo = s_fn(400.0, 1000.0, settings)
+    s_hi = s_fn(400.0, 10.0)
+    s_lo = s_fn(400.0, 1000.0)
     ok = s_hi > s_lo > 0.0
     checks.append(("expurgation tradeoff decreasing in rho", ok,
                    f"S(400,1000)={s_lo:.9g}"))

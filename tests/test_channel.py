@@ -208,6 +208,18 @@ class TestSimConfig:
         tiny = SimConfig(n=2, r=2.0, alpha=0.5, trials=1, seed=0, R=0.0)
         assert tiny.resolved_m == 1
 
+    def test_oversized_codebook_rejected(self):
+        # Only constructed: exp(1000) overflows a float, and exp(18)
+        # codewords of length 20 would need about 10 GiB.
+        for size in (dict(n=1000, R=1.0), dict(n=20, R=0.9),
+                     dict(n=10, M=(1 << 24) // 10 + 1)):
+            with pytest.raises(ValueError, match="codebook budget"):
+                SimConfig(r=1.0, alpha=0.5, trials=1, seed=0, **size)
+
+    def test_codebook_budget_edge_accepted(self):
+        cfg = SimConfig(n=16, r=1.0, alpha=0.5, trials=1, seed=0, M=1 << 20)
+        assert cfg.resolved_m * cfg.n == 1 << 24
+
 
 class TestErrorSimulation:
     def test_single_message_never_errs(self):

@@ -176,6 +176,14 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
+    def test_oversized_codebook_rejected(self, tmp_path):
+        for size in (["--R", "1"], ["--M", "20000000"]):
+            out = tmp_path / "x.csv"
+            code = main(["simulate", "--n", "1000", "--r", "1", *size,
+                         "--trials", "1", "--seed", "0", "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert not out.exists()
+
     def test_fractional_reads_rejected(self, tmp_path):
         code = main(["simulate", "--n", "3", "--r", "0.5", "--M", "2",
                      "--trials", "10", "--seed", "0",

@@ -6,8 +6,8 @@ import scipy.integrate
 import scipy.optimize
 
 from freqchan.ex_bounds import (MEAN_ABS_XY, ExParams, ExSettings,
-                         QuadratureSettings, ex_exponent, f_kappa, g_fn,
-                         j_fn, l_fn, s_fn)
+                                ex_exponent, f_kappa, g_fn, j_fn, l_fn,
+                                s_fn)
 from freqchan.rc_bounds import BoundQuery
 
 # High-precision reference values (40-digit arithmetic, rounded).
@@ -63,11 +63,61 @@ class TestFKappa:
         with pytest.raises(ValueError):
             f_kappa(-0.1)
 
-    def test_quadrature_settings_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(truncation=4.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(panels=0)
+
+def _kappa_point(kappa: float, r: float) -> tuple[float, float, float, float]:
+    """(x, G, lam, rho) at kappa, by a route independent of the module:
+    x = (log F)' by differentiating the closed form, sigma by root-finding
+    J(sigma) = G, lam = x / sigma, rho = r log(1 / lam) / G."""
+    asin = math.asin(kappa)
+    gap = 1.0 - kappa * kappa
+    x = ((2.0 / math.pi) / (math.sqrt(gap) * (1.0 + 2.0 / math.pi * asin))
+         + kappa / gap)
+    g = kappa * x - math.log((1.0 + 2.0 / math.pi * asin) / math.sqrt(gap))
+    sigma = scipy.optimize.brentq(lambda s: j_fn(s) - g, 1e-12, 1.0,
+                                  xtol=1e-16, rtol=1e-15)
+    lam = x / sigma
+    return x, g, lam, r * math.log(1.0 / lam) / g
+
+
+class TestKappaChain:
+    """Each level of the chain is G(kappa) at its own crossing point."""
+
+    KAPPAS = (0.02, 0.08, 0.15, 0.18, 0.19)
+
+    def test_levels_equal_g_at_kappa(self):
+        for kappa in self.KAPPAS:
+            x, g, lam, rho = _kappa_point(kappa, r=400.0)
+            assert g_fn(x) == pytest.approx(g, abs=1e-12)
+            assert l_fn(lam) == pytest.approx(g, abs=1e-12)
+            if rho > 1.0:
+                assert s_fn(400.0, rho) == pytest.approx(g, abs=1e-12)
+
+    def test_s_level_at_other_ratios(self):
+        for r, kappa in ((1.0, 0.05), (10.0, 0.12), (2000.0, 0.19)):
+            _, g, _, rho = _kappa_point(kappa, r)
+            assert rho > 1.0
+            assert s_fn(r, rho) == pytest.approx(g, abs=1e-12)
+
+    def test_reference_values_to_1e_12(self):
+        assert g_fn(0.9) == pytest.approx(G_09, abs=1e-12)
+        assert l_fn(0.95) == pytest.approx(L_095, abs=1e-12)
+
+    def test_exponent_dominates_dense_rho_grid(self):
+        rhos = np.concatenate([np.linspace(1.0 + 1e-6, 20.0, 400),
+                               np.geomspace(20.0, 1000.0, 400)])
+        for r, R in ((400.0, 0.0), (400.0, 0.011), (400.0, 0.014),
+                     (100.0, 0.005), (100.0, 0.012), (10.0, 0.004)):
+            grid = max(rho * (s_fn(r, float(rho)) - R) for rho in rhos)
+            assert ex_exponent(BoundQuery(R=R, r=r)).E >= grid - 1e-9
+
+    def test_argmax_rho_within_cap(self):
+        for rho_max in (2.0, 100.0, 1000.0):
+            settings = ExSettings(rho_max=rho_max)
+            for r in (10.0, 100.0, 400.0):
+                for R in (0.0, 0.003, 0.006, 0.012, 0.014, 0.05):
+                    pt = ex_exponent(BoundQuery(R=R, r=r), settings)
+                    assert 1.0 < pt.argmax.rho <= rho_max
+                    assert pt.rho_capped == (pt.argmax.rho == rho_max)
 
 
 class TestGFn:
