@@ -17,7 +17,6 @@ from .channel import (
     SimplexPoint,
     SimReport,
     TailReport,
-    bhattacharyya,
     dirichlet_product_moment,
     estimate_bc_tail,
     estimate_error_probability,
@@ -61,14 +60,6 @@ from .rc_bounds import (
     rc_exponent,
     thm1_probability_bound,
 )
-from .special_fn import (
-    StirlingBracket,
-    binary_entropy,
-    log_gamma,
-    normal_cdf,
-    psi_fn,
-    stirling_bracket,
-    zeta,
-)
+from .special_fn import log_gamma, psi_fn, zeta
 
 __version__ = "0.1.2"

@@ -33,7 +33,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "SimplexPoint",
-    "bhattacharyya",
     "dirichlet_product_moment",
     "estimate_bc_tail",
     "estimate_error_probability",
@@ -68,6 +67,15 @@ class DecodeError(RuntimeError):
 def _substream(seed: int, tag: int, index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
     return np.random.default_rng(ss)
+
+
+def _map(fn, jobs: list, parallelism: int) -> list:
+    """``[fn(job) for job in jobs]``, across a process pool when
+    ``parallelism`` > 1; results keep the order of ``jobs`` either way."""
+    if parallelism > 1 and len(jobs) > 1:
+        with multiprocessing.Pool(parallelism) as pool:
+            return pool.map(fn, jobs)
+    return [fn(job) for job in jobs]
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -315,15 +323,6 @@ def kl_divergence(q, p) -> float:
     return float(rel_entr(qv, pv).sum())
 
 
-def bhattacharyya(u, v) -> float:
-    """Overlap sum of sqrt(u_i v_i); equals 1 iff u = v, in [0, 1]."""
-    uv = _as_pmf(u)
-    vv = _as_pmf(v)
-    if uv.size != vv.size:
-        raise ValueError("distributions must have the same length")
-    return float(np.sqrt(uv * vv).sum())
-
-
 def _decode_ll(counts: np.ndarray, codewords: np.ndarray) -> int:
     """Index of the codeword maximizing sum_t N_t log p_m(t).
 
@@ -422,11 +421,7 @@ def estimate_error_probability(config: SimConfig,
          bounds[i], bounds[i + 1])
         for i in range(len(bounds) - 1)
     ]
-    if config.parallelism > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(config.parallelism) as pool:
-            errors = sum(pool.map(_error_trials, jobs))
-    else:
-        errors = sum(_error_trials(job) for job in jobs)
+    errors = sum(_map(_error_trials, jobs, config.parallelism))
 
     eps_hat = errors / config.trials
     query = BoundQuery(R=config.resolved_rate, r=config.r, n=config.n)
@@ -464,11 +459,7 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
         (seed, n, int(round(reads)), alpha, tail.rho_n, i, size)
         for i, size in enumerate(_chunk_sizes(trials))
     ]
-    if parallelism > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(parallelism) as pool:
-            exceed = sum(pool.map(_kl_tail_chunk, jobs))
-    else:
-        exceed = sum(_kl_tail_chunk(job) for job in jobs)
+    exceed = sum(_map(_kl_tail_chunk, jobs, parallelism))
     return TailReport(mu=mu, rho_n=tail.rho_n,
                       empirical=exceed / trials, bound=tail.bound)
 
@@ -497,11 +488,7 @@ def estimate_bc_tail(n: int, lam: float, trials: int, seed: int,
         (seed, n, lam, i, size)
         for i, size in enumerate(_chunk_sizes(trials))
     ]
-    if parallelism > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(parallelism) as pool:
-            exceed = sum(pool.map(_bc_tail_chunk, jobs))
-    else:
-        exceed = sum(_bc_tail_chunk(job) for job in jobs)
+    exceed = sum(_map(_bc_tail_chunk, jobs, parallelism))
     return BcTailReport(lam=lam, empirical=exceed / trials, bound=bound)
 
 
@@ -559,14 +546,9 @@ def estimate_product_moment(alphas, betas, trials: int, seed: int,
         (seed, a, b, index, size)
         for index, size in enumerate(_chunk_sizes(trials))
     ]
-    if parallelism > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(parallelism) as pool:
-            partials = pool.map(_moment_chunk, jobs)
-    else:
-        partials = [_moment_chunk(job) for job in jobs]
     total = 0.0
     total_sq = 0.0
-    for chunk_total, chunk_total_sq in partials:
+    for chunk_total, chunk_total_sq in _map(_moment_chunk, jobs, parallelism):
         total += chunk_total
         total_sq += chunk_total_sq
     mean = total / trials

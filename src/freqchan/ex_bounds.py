@@ -241,7 +241,7 @@ def ex_exponent(query: BoundQuery,
         kappa, value = maximize_scalar(obj, interval, settings.optimizer)
     else:  # rho_max is within rounding of 1
         kappa, value = k_cap, obj(k_cap)
-    # refine_cell returns the exact grid end when no probe beats it.
+    # maximize_scalar returns the exact grid end when no probe beats it.
     capped = kappa == k_cap
     _, _, lam, _, g, sigma = _chain(kappa)
     # Near rho = 1, lam is near 1 and log(1 / lam) keeps only ~1e-11 of

@@ -7,11 +7,12 @@ probability ceilings implied at the optimized parameters.
 
 Both optimized quantities grow with A = Lambda(r, alpha, xi) - xi Delta(r)
 (the exponent maximizes [A - R]_+ / (1 + xi), the rate bound A itself),
-so the max over alpha is taken first.  The profile A*(xi) = max_alpha A
-does not depend on the rate; it is cached per (r, Delta, settings) on
-the coarse xi grid, and each rate costs an argmax over it plus a polish
-in xi.  Each alpha max scans its grid as one array evaluation of Lambda
-and polishes the best cell with the scalar ``lambda_fn``.
+and Lambda strictly decreases in alpha on alpha >= 1/2:
+dLambda/dalpha = digamma(alpha) - log(alpha) - (alpha - 1/2)/(alpha + xi r),
+and digamma(alpha) < log(alpha) - 1/(2 alpha) for every alpha > 0 (Alzer,
+Math. Comp. 66, 1997).  So the alpha argmax is the open end of
+(1/2, alpha_cap], moved inward by the optimizer's ``open_margin``, and
+each bound is one scalar search in xi.
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.special import gammaln, xlogy
-
-from .optimize import (
-    OptimizerSettings,
-    SearchInterval,
-    coarse_grid,
-    minimize_scalar,
-    refine_cell,
-)
+from .optimize import (OptimizerSettings, SearchInterval, maximize_scalar,
+                       minimize_scalar)
 from .special_fn import log_gamma, psi_fn, zeta
 
 __all__ = [
@@ -65,15 +58,12 @@ class RcParams:
 
     alpha: float
     xi: float
-    mu: float
 
     def __post_init__(self) -> None:
         if not self.alpha > 0.5:
             raise ValueError(f"alpha must exceed 1/2, got {self.alpha}")
         if not self.xi > 0.0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -87,14 +77,13 @@ class RcSettings:
     q_interval: SearchInterval | None = None
     alpha_cap: float = 50.0
     xi_cap: float = 10.0
-    mu_cap: float = 20.0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self) -> None:
         if not self.alpha_cap > 0.5:
             raise ValueError("alpha_cap must exceed 1/2")
-        if self.xi_cap <= 0.0 or self.mu_cap <= 0.0:
-            raise ValueError("caps must be positive")
+        if self.xi_cap <= 0.0:
+            raise ValueError("xi_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -185,67 +174,26 @@ def _delta_cached(r: float, settings: RcSettings) -> float:
     return value
 
 
-def _warn_capped(name: str, value: float, cap: float) -> None:
-    if value >= cap * (1.0 - _CAP_RTOL):
-        warnings.warn(
-            f"argmax {name} = {value:.6g} touched its cap {cap:.6g}; "
-            "consider raising the cap in RcSettings", CapWarning, stacklevel=3)
-
-
-def _lambda_array(r: float, alpha: np.ndarray, xi: float) -> np.ndarray:
-    """``lambda_fn`` over an array of alpha, used to pick the cell to polish."""
-    t = xi * r / alpha
-    psi = (1.0 + t) * np.log1p(t) - xlogy(t, t)
-    return (alpha * psi - (alpha - 0.5) * np.log(alpha + xi * r)
-            - _HALF_LOG_2PI + gammaln(alpha))
-
-
-@functools.lru_cache(maxsize=64)
-def _grid(interval: SearchInterval, optimizer: OptimizerSettings) -> np.ndarray:
-    return np.array(coarse_grid(interval, optimizer))
-
-
-def _alpha_max(r: float, delta: float, xi: float,
-               settings: RcSettings) -> tuple[float, float]:
-    """(alpha, A) maximizing A = Lambda(r, alpha, xi) - xi Delta at fixed xi."""
-    interval = SearchInterval(0.5, settings.alpha_cap, open_lo=True)
-    alphas = _grid(interval, settings.optimizer)
-    i_best = int(np.argmax(_lambda_array(r, alphas, xi)))
-
-    def obj(alpha: float) -> float:
-        return lambda_fn(r, alpha, xi) - xi * delta
-
-    return refine_cell(obj, interval, settings.optimizer, i_best,
-                       obj(float(alphas[i_best])))
-
-
-@functools.lru_cache(maxsize=64)
-def _xi_profile(r: float, delta: float, settings: RcSettings) -> np.ndarray:
-    """A*(xi) = max over alpha of A(alpha, xi) on the coarse xi grid."""
-    interval = SearchInterval(0.0, settings.xi_cap, open_lo=True)
-    return np.array([_alpha_max(r, delta, xi, settings)[1]
-                     for xi in coarse_grid(interval, settings.optimizer)])
-
-
 def _maximize(r: float, rate: float | None,
               settings: RcSettings) -> tuple[float, float, float]:
     """(alpha, xi, value) maximizing [A - R]_+ / (1 + xi), or A itself
     when ``rate`` is None."""
-    def objective(a, xi):
-        return a if rate is None else np.maximum(a - rate, 0.0) / (1.0 + xi)
-
     r = float(r)
     delta = delta_fn(r, settings)
-    interval = SearchInterval(0.0, settings.xi_cap, open_lo=True)
-    grid_vals = objective(_xi_profile(r, delta, settings),
-                          _grid(interval, settings.optimizer))
-    i_best = int(np.argmax(grid_vals))
-    xi_star, value = refine_cell(
-        lambda xi: float(objective(_alpha_max(r, delta, xi, settings)[1], xi)),
-        interval, settings.optimizer, i_best, float(grid_vals[i_best]))
-    alpha_star, _ = _alpha_max(r, delta, xi_star, settings)
-    _warn_capped("alpha", alpha_star, settings.alpha_cap)
-    _warn_capped("xi", xi_star, settings.xi_cap)
+    alpha_star, _ = SearchInterval(0.5, settings.alpha_cap, open_lo=True) \
+        .effective_bounds(settings.optimizer.open_margin)
+
+    def objective(xi: float) -> float:
+        a = lambda_fn(r, alpha_star, xi) - xi * delta
+        return a if rate is None else max(a - rate, 0.0) / (1.0 + xi)
+
+    xi_star, value = maximize_scalar(
+        objective, SearchInterval(0.0, settings.xi_cap, open_lo=True),
+        settings.optimizer)
+    if xi_star >= settings.xi_cap * (1.0 - _CAP_RTOL):
+        warnings.warn(
+            f"argmax xi = {xi_star:.6g} touched its cap {settings.xi_cap:.6g}; "
+            "consider raising the cap in RcSettings", CapWarning, stacklevel=3)
     return alpha_star, xi_star, value
 
 
@@ -255,22 +203,13 @@ def rc_exponent(query: BoundQuery,
 
     The inner supremum over mu > 0 of min([A - xi mu]_+, mu) with
     A = Lambda - xi Delta - R equals [A]_+ / (1 + xi) exactly (the two
-    branches cross at mu = A / (1 + xi)), so only alpha and xi are
-    searched numerically.  The mu component of the witness is that
-    crossing point; when the exponent is zero the bracket is empty and a
-    degenerate positive placeholder equal to the optimizer tolerance is
-    reported.
+    branches cross at mu = A / (1 + xi), which is E itself), so only
+    alpha and xi make up the witness.
     """
-    settings = settings or RcSettings()
-    alpha_star, xi_star, value = _maximize(query.r, query.R, settings)
-    e_val = max(value, 0.0)
-    mu_star = e_val if e_val > 0.0 else settings.optimizer.tol
-    if mu_star > settings.mu_cap:
-        warnings.warn(
-            f"mu witness {mu_star:.6g} exceeds its cap {settings.mu_cap:.6g}",
-            CapWarning, stacklevel=2)
-    return ExponentPoint(R=query.R, E=e_val,
-                         argmax=RcParams(alpha_star, xi_star, mu_star))
+    alpha_star, xi_star, value = _maximize(query.r, query.R,
+                                           settings or RcSettings())
+    return ExponentPoint(R=query.R, E=max(value, 0.0),
+                         argmax=RcParams(alpha_star, xi_star))
 
 
 def rate_lower_bound(r: float, settings: RcSettings | None = None) -> float:

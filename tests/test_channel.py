@@ -6,7 +6,7 @@ import pytest
 from freqchan.channel import (BcTailReport, Codebook, DecodeError,
                               MomentReport, SampleCounts, SimConfig,
                               SimReport, SimplexPoint, TailReport,
-                              bhattacharyya, dirichlet_product_moment,
+                              dirichlet_product_moment,
                               estimate_bc_tail, estimate_error_probability,
                               estimate_kl_tail, estimate_product_moment,
                               kl_divergence, ml_decode, sample_dirichlet,
@@ -14,7 +14,6 @@ from freqchan.channel import (BcTailReport, Codebook, DecodeError,
 
 # High-precision reference values (40-digit arithmetic, rounded).
 KL_34_12 = 0.13081203594113695913
-BC_OPPOSITE = 0.86602540378443864676
 
 
 class TestSimplexTypes:
@@ -133,19 +132,6 @@ class TestDivergenceAndOverlap:
     def test_kl_length_mismatch(self):
         with pytest.raises(ValueError):
             kl_divergence(np.array([1.0]), np.array([0.5, 0.5]))
-
-    def test_bc_normalization(self):
-        p = SimplexPoint(np.array([0.3, 0.7]))
-        assert bhattacharyya(p, p) == pytest.approx(1.0, rel=1e-15)
-
-    def test_bc_disjoint_supports(self):
-        assert bhattacharyya(np.array([1.0, 0.0]),
-                             np.array([0.0, 1.0])) == 0.0
-
-    def test_bc_closed_form(self):
-        assert bhattacharyya(np.array([0.75, 0.25]),
-                             np.array([0.25, 0.75])) \
-            == pytest.approx(BC_OPPOSITE, rel=1e-14)
 
 
 class TestMlDecode:

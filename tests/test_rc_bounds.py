@@ -52,6 +52,18 @@ class TestLambdaFn:
         vals = [lambda_fn(400.0, 0.6, xi) for xi in (0.0, 0.01, 0.05, 0.2, 1.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("r", [0.5, 10.0, 400.0, 2000.0])
+    @pytest.mark.parametrize("xi", [0.0, 1e-6, 0.1, 10.0])
+    def test_strictly_decreasing_in_alpha(self, r, xi):
+        # dLambda/dalpha = digamma(alpha) - log(alpha)
+        # - (alpha - 1/2)/(alpha + xi r) < 0, which is why the rc bounds
+        # pin alpha at the open end of (1/2, alpha_cap].
+        alphas = np.concatenate([0.5 + np.logspace(-6, -1.5, 30),
+                                 np.linspace(0.6, 50.0, 300)])
+        vals = [lambda_fn(r, 0.5, xi)]
+        vals += [lambda_fn(r, float(a), xi) for a in alphas]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             lambda_fn(0.0, 1.0, 0.1)
@@ -116,7 +128,6 @@ class TestRcExponent:
     def test_zero_beyond_achievable_rate(self):
         pt = rc_exponent(BoundQuery(R=2.5, r=400.0))
         assert pt.E == 0.0
-        assert pt.argmax.mu > 0.0
 
     def test_witness_reproduces_value(self):
         pt = rc_exponent(BoundQuery(R=1.0, r=400.0))
@@ -124,8 +135,6 @@ class TestRcExponent:
                  - pt.argmax.xi * delta_fn(400.0) - 1.0)
         assert pt.E == pytest.approx(max(a_val, 0.0) / (1.0 + pt.argmax.xi),
                                      rel=1e-12)
-        # The witness mu is the branch-crossing point.
-        assert pt.argmax.mu == pytest.approx(pt.E, rel=1e-12)
 
     def test_small_r_regime(self):
         # R must sit below rate_lower_bound(10) ~ 0.474 for a positive
@@ -145,11 +154,6 @@ class TestRcExponent:
         with pytest.warns(CapWarning):
             rc_exponent(BoundQuery(R=0.1, r=400.0), tight)
 
-    def test_mu_cap_warns(self):
-        tight = RcSettings(mu_cap=1.0)
-        with pytest.warns(CapWarning):
-            rc_exponent(BoundQuery(R=0.0, r=400.0), tight)
-
     def test_no_warning_at_default_caps(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", CapWarning)
@@ -157,11 +161,11 @@ class TestRcExponent:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            RcParams(alpha=0.5, xi=0.1, mu=0.1)
+            RcParams(alpha=0.5, xi=0.1)
         with pytest.raises(ValueError):
-            RcParams(alpha=1.0, xi=0.0, mu=0.1)
+            RcParams(alpha=1.0, xi=0.0)
         with pytest.raises(ValueError):
-            ExponentPoint(R=0.0, E=-1e-9, argmax=RcParams(1.0, 0.1, 0.1))
+            ExponentPoint(R=0.0, E=-1e-9, argmax=RcParams(1.0, 0.1))
 
 
 class TestRateLowerBound:

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 import scipy.special
 
-from freqchan.special_fn import (StirlingBracket, binary_entropy, log_gamma,
-                              normal_cdf, psi_fn, stirling_bracket, zeta)
+from freqchan.special_fn import log_gamma, psi_fn, zeta
 
 # High-precision reference values (40-digit arithmetic, rounded).
-STIRLING_LOWER_1 = 0.92213700889578911688
-STIRLING_UPPER_1 = 1.0022744491822266585
-STIRLING_LOWER_HALF = 1.5203469010662808056
-STIRLING_UPPER_HALF = 1.7960776427426669154
 ZETA_3_2 = 2.6123753486854883433
 ZETA_1_01 = 100.57794333849687249
 PSI_400 = 6.9927135067414487779
@@ -39,53 +34,6 @@ class TestLogGamma:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             log_gamma(bad)
-
-
-class TestStirlingBracket:
-    def test_reference_values_at_one(self):
-        sb = stirling_bracket(1.0)
-        assert sb.lower == pytest.approx(STIRLING_LOWER_1, rel=1e-14)
-        assert sb.upper == pytest.approx(STIRLING_UPPER_1, rel=1e-14)
-        assert sb.lower < 1.0 < sb.upper
-
-    def test_brackets_sqrt_pi_at_half(self):
-        sb = stirling_bracket(0.5)
-        assert sb.lower == pytest.approx(STIRLING_LOWER_HALF, rel=1e-14)
-        assert sb.upper == pytest.approx(STIRLING_UPPER_HALF, rel=1e-14)
-        assert sb.lower < math.sqrt(math.pi) < sb.upper
-
-    def test_brackets_factorial_at_ten(self):
-        sb = stirling_bracket(10.0)
-        assert sb.lower < 362880.0 < sb.upper
-
-    def test_sandwich_on_log_grid(self):
-        # Above t ~ 1.5e3 the upper margin 1/(360 t^3) sinks below the
-        # roundoff of logs of magnitude 1e4; allow ulp-scale slack.
-        for t in np.logspace(-2, 4, 60):
-            sb = stirling_bracket(float(t))
-            lg = log_gamma(float(t))
-            slack = 32.0 * np.finfo(float).eps * max(1.0, abs(lg))
-            assert sb.log_lower - slack <= lg <= sb.log_upper + slack
-
-    def test_linear_fields_track_log_fields(self):
-        sb = stirling_bracket(3.0)
-        assert sb.lower == pytest.approx(math.exp(sb.log_lower), rel=1e-15)
-        assert sb.upper == pytest.approx(math.exp(sb.log_upper), rel=1e-15)
-
-    def test_linear_fields_may_overflow(self):
-        sb = stirling_bracket(1e4)
-        assert math.isinf(sb.lower) and math.isinf(sb.upper)
-        assert math.isfinite(sb.log_lower) and math.isfinite(sb.log_upper)
-
-    def test_frozen_dataclass(self):
-        sb = stirling_bracket(2.0)
-        assert isinstance(sb, StirlingBracket)
-        with pytest.raises(Exception):
-            sb.lower = 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            stirling_bracket(0.0)
 
 
 class TestZeta:
@@ -141,39 +89,3 @@ class TestPsiFn:
         with pytest.raises(ValueError):
             psi_fn(-0.1)
 
-
-class TestBinaryEntropy:
-    def test_symmetric_peak(self):
-        assert binary_entropy(0.5) == pytest.approx(math.log(2.0), rel=1e-15)
-        assert binary_entropy(0.2) == pytest.approx(binary_entropy(0.8), rel=1e-14)
-
-    def test_edges_are_zero(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binary_entropy(1.2)
-
-
-class TestNormalCdf:
-    def test_anchors(self):
-        assert normal_cdf(0.0) == 0.5
-        assert normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-12)
-
-    def test_symmetry(self):
-        for x in (0.3, 1.0, 2.5, 7.0):
-            assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
-
-    def test_saturation(self):
-        assert normal_cdf(40.0) == 1.0
-        assert normal_cdf(-40.0) == pytest.approx(0.0, abs=1e-300)
-
-    def test_matches_erf_identity(self):
-        for x in np.linspace(-5, 5, 41):
-            want = 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
-            assert normal_cdf(float(x)) == pytest.approx(want, abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            normal_cdf(math.nan)
