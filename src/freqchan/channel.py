@@ -6,9 +6,10 @@ frequencies with the analytic ceilings they must stay under.
 
 Randomness is derived counter-style from (seed, stream tag, index), so
 every estimate is independent of how work is split across processes:
-the error-probability simulator gives each trial its own substream,
-while the bulk tail/moment estimators give each fixed-size chunk of
-draws a substream and vectorize inside the chunk.
+each estimator splits its trials into chunks whose size depends only on
+the problem, gives each chunk a substream and vectorizes inside it.  The
+error-probability simulator draws a chunk's codebooks, messages and
+reads in one call each and decodes the whole chunk at once.
 """
 
 from __future__ import annotations
@@ -49,12 +50,15 @@ _SIMPLEX_ATOL = 1e-12
 
 # Stream tags; a fixed chunk size keeps chunked estimators independent
 # of the parallelism degree.
-_STREAM_ERROR_TRIAL = 0
+_STREAM_ERROR_CHUNK = 0
 _STREAM_KL_CHUNK = 1
 _STREAM_BC_CHUNK = 2
 _STREAM_FIXED_CODEBOOK = 3
 _STREAM_MOMENT_CHUNK = 4
 _CHUNK = 4096
+# Entries in the (trials, M, n) codebook array of one error-simulation
+# chunk; the chunk holds min(_CHUNK, _ERROR_CHUNK_ENTRIES // (M n)) trials.
+_ERROR_CHUNK_ENTRIES = 1 << 16
 # Largest codebook a simulation may draw, in M * n entries (128 MiB of
 # float64); beyond it a config is rejected before anything is allocated.
 _MAX_CODEBOOK_ENTRIES = 1 << 24
@@ -73,15 +77,15 @@ def _map(fn, jobs: list, parallelism: int) -> list:
     """``[fn(job) for job in jobs]``, across a process pool when
     ``parallelism`` > 1; results keep the order of ``jobs`` either way."""
     if parallelism > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(parallelism) as pool:
+        with multiprocessing.Pool(min(parallelism, len(jobs))) as pool:
             return pool.map(fn, jobs)
     return [fn(job) for job in jobs]
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    sizes = [_CHUNK] * (total // _CHUNK)
-    if total % _CHUNK:
-        sizes.append(total % _CHUNK)
+def _chunk_sizes(total: int, chunk: int = _CHUNK) -> list[int]:
+    sizes = [chunk] * (total // chunk)
+    if total % chunk:
+        sizes.append(total % chunk)
     return sizes
 
 
@@ -259,16 +263,37 @@ class MomentReport:
     mc_std_err: float
 
 
-def _gamma_draws(rng: np.random.Generator, alpha: float,
-                 size: int | tuple[int, ...]) -> np.ndarray:
-    """Gamma(alpha, 1) draws; shapes below 1 use the boosted draw
-    Gamma(alpha + 1) * U^(1/alpha), which never underflows the way the
-    direct rejection sampler can for small shapes."""
+def _gamma_draws(rng: np.random.Generator, alpha: float, size):
+    """Gamma(alpha, 1) draws and a function giving their logs at a mask of
+    rows.  Shapes below 1 use the boosted draw Gamma(alpha + 1) U^(1/alpha),
+    whose product can underflow to 0 for tiny alpha although its log,
+    log G + log(U) / alpha, stays finite."""
     if alpha >= 1.0:
-        return rng.standard_gamma(alpha, size)
+        g = rng.standard_gamma(alpha, size)
+        return g, lambda rows: np.log(g[rows])
     g = rng.standard_gamma(alpha + 1.0, size)
     u = rng.random(size)
-    return g * u ** (1.0 / alpha)
+    return (g * u ** (1.0 / alpha),
+            lambda rows: np.log(g[rows]) + np.log(u[rows]) / alpha)
+
+
+def _to_simplex(draws: np.ndarray, log_draws) -> np.ndarray:
+    """``draws`` scaled to sum 1 along the last axis.  A row whose sum
+    underflows is rebuilt from the logs of the same draws, shifted by the
+    row max, so it costs no random numbers and leaves other rows as they
+    are."""
+    total = draws.sum(axis=-1, keepdims=True)
+    low = total[..., 0] < np.finfo(np.float64).tiny
+    if low.any():
+        logs = log_draws(low)
+        draws[low] = np.exp(logs - logs.max(axis=-1, keepdims=True))
+        total[low] = draws[low].sum(axis=-1, keepdims=True)
+    return draws / total
+
+
+def _dirichlet(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
+    """Symmetric Dirichlet(alpha) points along the last axis of ``size``."""
+    return _to_simplex(*_gamma_draws(rng, alpha, size))
 
 
 def sample_dirichlet(n: int, alpha: float,
@@ -278,12 +303,7 @@ def sample_dirichlet(n: int, alpha: float,
         raise ValueError(f"n must be a positive count, got {n}")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive, got {alpha}")
-    for _ in range(2):
-        draws = _gamma_draws(rng, alpha, n)
-        total = float(draws.sum())
-        if total > 0.0:
-            return SimplexPoint(draws / total)
-    raise RuntimeError("all gamma draws were zero twice in a row")
+    return SimplexPoint(_dirichlet(rng, alpha, n))
 
 
 def sample_multinomial(p: SimplexPoint, trials: int,
@@ -323,18 +343,24 @@ def kl_divergence(q, p) -> float:
     return float(rel_entr(qv, pv).sum())
 
 
-def _decode_ll(counts: np.ndarray, codewords: np.ndarray) -> int:
-    """Index of the codeword maximizing sum_t N_t log p_m(t).
-
-    Only types with positive counts enter the sum (0 log 0 = 0), and
-    np.argmax resolves exact ties to the lowest index.
-    """
-    mask = counts > 0
+def _log(codewords: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        ll = np.log(codewords[:, mask]) @ counts[mask]
-    if np.all(np.isneginf(ll)):
+        return np.log(codewords)
+
+
+def _decode(counts: np.ndarray, log_codewords: np.ndarray) -> np.ndarray:
+    """Index of the codeword maximizing sum_t N_t log p_m(t), per row.
+
+    ``counts`` is (trials, n); ``log_codewords`` is (trials, M, n), or
+    (M, n) when every trial shares one codebook.  Types with zero count
+    drop out of the sum (0 log 0 = 0), and np.argmax resolves exact ties
+    to the lowest index.
+    """
+    terms = np.where(counts[:, None, :] > 0, log_codewords, 0.0)
+    ll = np.einsum("tmn,tn->tm", terms, counts)
+    if np.isneginf(ll).all(axis=1).any():
         raise DecodeError("every codeword has likelihood zero")
-    return int(np.argmax(ll))
+    return ll.argmax(axis=1)
 
 
 def ml_decode(counts: SampleCounts, codebook: Codebook) -> int:
@@ -347,7 +373,7 @@ def ml_decode(counts: SampleCounts, codebook: Codebook) -> int:
     """
     if len(counts.counts) != codebook.n:
         raise ValueError("counts and codebook disagree on the type count")
-    return _decode_ll(np.asarray(counts.counts), codebook.codewords)
+    return int(_decode(counts.counts[None, :], _log(codebook.codewords))[0])
 
 
 def _wilson_ci(errors: int, trials: int,
@@ -370,31 +396,18 @@ def wilson_std_err(errors: int, trials: int) -> float:
     return (hi - lo) / (2.0 * _WILSON_Z)
 
 
-def _draw_codebook(rng: np.random.Generator, m: int, n: int,
-                   alpha: float) -> np.ndarray:
-    draws = _gamma_draws(rng, alpha, (m, n))
-    totals = draws.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0.0):
-        draws = _gamma_draws(rng, alpha, (m, n))
-        totals = draws.sum(axis=1, keepdims=True)
-        if np.any(totals <= 0.0):
-            raise RuntimeError("all gamma draws were zero twice in a row")
-    return draws / totals
-
-
-def _error_trials(args) -> int:
-    (seed, n, reads, alpha, m, fixed_codewords, start, stop) = args
-    errors = 0
-    for t in range(start, stop):
-        rng = _substream(seed, _STREAM_ERROR_TRIAL, t)
-        if fixed_codewords is None:
-            codewords = _draw_codebook(rng, m, n, alpha)
-        else:
-            codewords = fixed_codewords
-        message = int(rng.integers(m))
-        counts = rng.multinomial(reads, codewords[message])
-        errors += _decode_ll(counts, codewords) != message
-    return errors
+def _error_chunk(args) -> int:
+    (seed, n, reads, alpha, m, fixed, index, size) = args
+    rng = _substream(seed, _STREAM_ERROR_CHUNK, index)
+    if fixed is None:
+        codewords = _dirichlet(rng, alpha, (size, m, n))
+        log_codewords = _log(codewords)
+    else:
+        codewords = np.broadcast_to(fixed[0], (size, m, n))
+        log_codewords = fixed[1]
+    messages = rng.integers(m, size=size)
+    counts = rng.multinomial(reads, codewords[np.arange(size), messages])
+    return int(np.count_nonzero(_decode(counts, log_codewords) != messages))
 
 
 def estimate_error_probability(config: SimConfig,
@@ -403,25 +416,24 @@ def estimate_error_probability(config: SimConfig,
 
     Each trial draws a fresh codebook (unless ``fresh_codebook`` is
     off), sends a uniform message, reads n*r samples and decodes by
-    maximum likelihood.  Results are a pure function of (config, seed)
-    regardless of ``parallelism``.
+    maximum likelihood.  Trials run in chunks of a size set by M and n
+    alone, one substream each, so results are a pure function of
+    (config, seed) regardless of ``parallelism``.
     """
     m = config.resolved_m
     fixed = None
     if not config.fresh_codebook:
         rng = _substream(config.seed, _STREAM_FIXED_CODEBOOK, 0)
-        fixed = _draw_codebook(rng, m, config.n, config.alpha)
+        codewords = _dirichlet(rng, config.alpha, (m, config.n))
+        fixed = (codewords, _log(codewords))
 
-    bounds = [0]
-    step = max(1, math.ceil(config.trials / max(config.parallelism, 1)))
-    while bounds[-1] < config.trials:
-        bounds.append(min(bounds[-1] + step, config.trials))
+    chunk = min(_CHUNK, max(1, _ERROR_CHUNK_ENTRIES // (m * config.n)))
     jobs = [
         (config.seed, config.n, config.reads, config.alpha, m, fixed,
-         bounds[i], bounds[i + 1])
-        for i in range(len(bounds) - 1)
+         index, size)
+        for index, size in enumerate(_chunk_sizes(config.trials, chunk))
     ]
-    errors = sum(_map(_error_trials, jobs, config.parallelism))
+    errors = sum(_map(_error_chunk, jobs, config.parallelism))
 
     eps_hat = errors / config.trials
     query = BoundQuery(R=config.resolved_rate, r=config.r, n=config.n)
@@ -437,8 +449,7 @@ def estimate_error_probability(config: SimConfig,
 def _kl_tail_chunk(args) -> int:
     (seed, n, reads, alpha, rho_n, index, size) = args
     rng = _substream(seed, _STREAM_KL_CHUNK, index)
-    draws = _gamma_draws(rng, alpha, (size, n))
-    p = draws / draws.sum(axis=1, keepdims=True)
+    p = _dirichlet(rng, alpha, (size, n))
     counts = rng.multinomial(reads, p)
     div = rel_entr(counts / reads, p).sum(axis=1)
     return int(np.count_nonzero(div >= rho_n))
@@ -520,13 +531,13 @@ def dirichlet_product_moment(alphas, betas) -> float:
 def _moment_chunk(args) -> tuple[float, float]:
     (seed, a, b, index, size) = args
     rng = _substream(seed, _STREAM_MOMENT_CHUNK, index)
-    draws = np.empty((size, a.size))
     # Column-wise draws keep the gamma shape parameter scalar, which is
     # the fast sampler path; order over columns is part of the stream
     # contract.
-    for j, aj in enumerate(a):
-        draws[:, j] = _gamma_draws(rng, float(aj), size)
-    x = draws / draws.sum(axis=1, keepdims=True)
+    cols = [_gamma_draws(rng, float(aj), size) for aj in a]
+    x = _to_simplex(np.stack([draws for draws, _ in cols], axis=1),
+                    lambda rows: np.stack([log(rows) for _, log in cols],
+                                          axis=1))
     prods = np.exp(xlogy(b, x).sum(axis=1))
     return float(prods.sum()), float((prods * prods).sum())
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freqchan import channel
 from freqchan.channel import (BcTailReport, Codebook, DecodeError,
                               MomentReport, SampleCounts, SimConfig,
                               SimReport, SimplexPoint, TailReport,
@@ -173,6 +174,53 @@ class TestMlDecode:
             ml_decode(SampleCounts(counts=np.array([1, 1, 0]), trials=2), cb)
 
 
+def _batch(rng, trials, m, n, reads, zeros=False):
+    """Random (trials, M, n) codebooks with each trial's counts drawn from
+    one of its codewords; ``zeros`` zeroes about a third of the entries."""
+    cw = rng.dirichlet(np.full(n, 0.5), size=(trials, m))
+    if zeros:
+        cw[rng.random(cw.shape) < 0.3] = 0.0
+        cw[..., 0] += cw.sum(axis=-1) == 0.0
+        cw /= cw.sum(axis=-1, keepdims=True)
+    sent = cw[np.arange(trials), rng.integers(m, size=trials)]
+    return cw, rng.multinomial(reads, sent)
+
+
+class TestBatchedDecode:
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_rows_equal_ml_decode_and_divergence_minimizer(self, zeros):
+        rng = np.random.default_rng(21)
+        cw, counts = _batch(rng, 500, 6, 4, 12, zeros)
+        decoded = channel._decode(counts, channel._log(cw))
+        for t in range(cw.shape[0]):
+            cb = Codebook(codewords=cw[t], alpha=0.5, seed=0)
+            sc = SampleCounts(counts=counts[t], trials=12)
+            kls = [kl_divergence(sc, row) for row in cw[t]]
+            assert decoded[t] == ml_decode(sc, cb) == int(np.argmin(kls))
+
+    def test_planted_ties_go_to_lowest_index(self):
+        rng = np.random.default_rng(23)
+        cw, counts = _batch(rng, 400, 6, 3, 8)
+        low = rng.integers(5, size=400)
+        high = rng.integers(low + 1, 6)
+        rows = np.arange(400)
+        # Copy each trial's ML codeword to indices low < high, so the
+        # maximum is tied between them and the original.
+        best = channel._decode(counts, channel._log(cw))
+        cw[rows, low] = cw[rows, best]
+        cw[rows, high] = cw[rows, best]
+        decoded = channel._decode(counts, channel._log(cw))
+        assert np.array_equal(decoded, np.minimum(low, best))
+
+    def test_zero_likelihood_row_raises(self):
+        cw = np.array([[[0.5, 0.5], [0.9, 0.1]], [[1.0, 0.0], [1.0, 0.0]]])
+        counts = np.array([[1, 1], [0, 2]])
+        with pytest.raises(DecodeError):
+            channel._decode(counts, channel._log(cw))
+        assert channel._decode(counts[:1], channel._log(cw[:1])).tolist() \
+            == [0]
+
+
 class TestSimConfig:
     def test_requires_integral_reads(self):
         with pytest.raises(ValueError):
@@ -240,6 +288,60 @@ class TestErrorSimulation:
         fixed = estimate_error_probability(
             SimConfig(**base, fresh_codebook=False))
         assert fresh.errors != fixed.errors
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_errors_equal_at_parallelism_1_2_3(self, fresh):
+        # M n = 40 gives 1638-trial chunks; 5000 trials leave a partial one.
+        base = dict(n=10, r=1.0, alpha=0.5, trials=5000, seed=12, M=4,
+                    fresh_codebook=fresh)
+        reports = [estimate_error_probability(SimConfig(**base,
+                                                        parallelism=p))
+                   for p in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+        assert 0 < reports[0].errors < 5000
+
+    def test_chunks_do_not_depend_on_parallelism(self, monkeypatch):
+        seen = []
+
+        def record(fn, jobs, parallelism):
+            seen.append([job[-2:] for job in jobs])
+            return [0] * len(jobs)
+
+        monkeypatch.setattr(channel, "_map", record)
+        for p in (1, 2, 7):
+            estimate_error_probability(SimConfig(
+                n=10, r=1.0, alpha=0.5, trials=5000, seed=1, M=4,
+                parallelism=p))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0] == [(0, 1638), (1, 1638), (2, 1638), (3, 86)]
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_chunk_matches_per_trial_decode(self, fresh):
+        # Replays one chunk's draws and decodes each trial on its own
+        # against its own codebook.
+        cfg = SimConfig(n=3, r=2.0, alpha=0.5, trials=300, seed=5, M=4,
+                        fresh_codebook=fresh)
+        rng = channel._substream(cfg.seed, channel._STREAM_FIXED_CODEBOOK, 0)
+        books = channel._dirichlet(rng, cfg.alpha, (4, 3))
+        rng = channel._substream(cfg.seed, channel._STREAM_ERROR_CHUNK, 0)
+        if fresh:
+            books = channel._dirichlet(rng, cfg.alpha, (cfg.trials, 4, 3))
+        books = np.broadcast_to(books, (cfg.trials, 4, 3))
+        messages = rng.integers(4, size=cfg.trials)
+        counts = rng.multinomial(cfg.reads, books[np.arange(cfg.trials),
+                                                  messages])
+        errors = sum(
+            ml_decode(SampleCounts(counts=counts[t], trials=cfg.reads),
+                      Codebook(codewords=books[t], alpha=0.5, seed=0))
+            != messages[t]
+            for t in range(cfg.trials))
+        assert estimate_error_probability(cfg).errors == errors > 0
+
+    def test_single_message_never_errs_in_chunks(self):
+        for fresh in (True, False):
+            cfg = SimConfig(n=2, r=1.0, alpha=0.5, trials=70_000, seed=3,
+                            M=1, fresh_codebook=fresh, parallelism=2)
+            assert estimate_error_probability(cfg).errors == 0
 
     def test_wilson_std_err_positive(self):
         assert wilson_std_err(0, 100) > 0.0
@@ -324,6 +426,86 @@ class TestProductMoments:
         with pytest.raises(ValueError):
             estimate_product_moment(np.array([1.0]), np.array([1.0]),
                                     trials=0, seed=0)
+
+
+class TestTinyAlpha:
+    # At alpha = 0.001 the boosted draw G U^(1/alpha) underflows to zero
+    # for most rows, which are then rebuilt in log space.
+
+    def test_underflowed_rows_are_points_of_the_simplex(self):
+        rng = np.random.default_rng(4)
+        p = channel._dirichlet(rng, 0.001, (2000, 3))
+        assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+        assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        # Near-vertex points: the largest coordinate is almost always ~1.
+        assert np.mean(p.max(axis=1) > 1.0 - 1e-6) > 0.9
+
+    def test_rows_that_do_not_underflow_are_unchanged(self):
+        alpha, shape = 0.002, (4000, 2)
+        rng = np.random.default_rng(6)
+        g = rng.standard_gamma(alpha + 1.0, shape)
+        u = rng.random(shape)
+        draws = g * u ** (1.0 / alpha)
+        total = draws.sum(axis=1, keepdims=True)
+        normal = total[:, 0] >= np.finfo(np.float64).tiny
+        assert 0 < np.count_nonzero(~normal) < 4000
+        p = channel._dirichlet(np.random.default_rng(6), alpha, shape)
+        assert np.array_equal(p[normal], draws[normal] / total[normal])
+        logs = np.log(g[~normal]) + np.log(u[~normal]) / alpha
+        want = np.exp(logs - logs.max(axis=1, keepdims=True))
+        assert np.allclose(p[~normal],
+                           want / want.sum(axis=1, keepdims=True),
+                           rtol=1e-15, atol=0.0)
+
+    def test_sample_dirichlet(self):
+        rng = np.random.default_rng(1)
+        tops = [sample_dirichlet(2, 0.001, rng).probs.max()
+                for _ in range(200)]
+        assert np.mean(np.array(tops) > 1.0 - 1e-6) > 0.9
+
+    def test_error_simulation(self):
+        rep = estimate_error_probability(SimConfig(
+            n=2, r=2.0, alpha=0.001, M=2, trials=2000, seed=1))
+        # Both codewords sit at the same vertex half the time, and the
+        # tie then goes to message 0: the error rate is close to 1/4.
+        assert abs(rep.eps_hat - 0.25) <= 4.0 * wilson_std_err(
+            rep.errors, rep.trials)
+
+    def test_kl_tail(self):
+        rep = estimate_kl_tail(n=2, r=2.0, alpha=0.001, mu=0.1,
+                               trials=4096, seed=1)
+        assert 0.0 <= rep.empirical <= 1.0
+
+    def test_product_moment(self):
+        rep = estimate_product_moment([0.002, 0.002], [0.5, 0.0],
+                                      trials=4096, seed=1)
+        assert math.isfinite(rep.mc_estimate)
+        assert abs(rep.mc_estimate - rep.closed_form) \
+            <= 4.0 * rep.mc_std_err
+
+
+class TestMap:
+    def test_pool_never_larger_than_job_count(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(channel.multiprocessing, "Pool", FakePool)
+        assert channel._map(abs, [-1, -2, -3, -4, -5], 16) == [1, 2, 3, 4, 5]
+        assert channel._map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert channel._map(abs, [-1], 16) == [1]
+        assert sizes == [5, 2]
 
 
 class TestReportInvariants:

@@ -163,6 +163,16 @@ class TestSimulateCommand:
         row = _read(out).strip().split("\n")[1].split(",")
         assert row[7] == "0" and float(row[8]) == 0.0
 
+    def test_tiny_alpha_runs(self, tmp_path):
+        # Most Dirichlet(0.001) gamma rows underflow to zero.
+        out = tmp_path / "tiny.csv"
+        code = main(["simulate", "--n", "2", "--r", "2", "--M", "2",
+                     "--alpha", "0.001", "--trials", "2000", "--seed", "1",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        row = _read(out).strip().split("\n")[1].split(",")
+        assert 0 < int(row[7]) < 2000
+
     def test_rate_spec(self, tmp_path):
         out = tmp_path / "rate.csv"
         main(["simulate", "--n", "10", "--r", "2", "--R", "0.3", "--trials",
