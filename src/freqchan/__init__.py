@@ -62,4 +62,4 @@ from .rc_bounds import (
 )
 from .special_fn import log_gamma, psi_fn, zeta
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"

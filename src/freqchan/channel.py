@@ -19,7 +19,7 @@ import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
+import numpy.random  # noqa: F401  at import, not lazily at the first draw
 
 from .ex_bounds import l_fn
 from .rc_bounds import BoundQuery, KlTailBound, RcSettings, lemma1_tail_bound, thm1_probability_bound
@@ -330,6 +330,35 @@ def _as_pmf(x) -> np.ndarray:
     return arr
 
 
+def _rel_entr_sum(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row sums of q log(q / p) for (rows, n) arrays q and p, with
+    0 log(0 / p) = 0 and +inf where q > 0 = p.
+
+    The ratio is 1 where q = 0, so those terms are 0 log 1; adding the
+    0/1 mask leaves every other ratio exact.  One buffer, updated in place
+    by unmasked ufuncs, which keep numpy's vector loops.
+    """
+    empty = q == 0.0
+    terms = np.add(p, empty)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(q, terms, out=terms)
+    np.add(terms, empty, out=terms)
+    with np.errstate(divide="ignore"):
+        np.log(terms, out=terms)
+    np.multiply(terms, q, out=terms)
+    total = terms.sum(axis=1)
+    # q / p leaves the float range only for a subnormal q or p; such rows
+    # are redone as q (log q - log p), infinite only where q > 0 = p.
+    redo = ~np.isfinite(total)
+    if redo.any():
+        qr, pr = q[redo], p[redo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(qr) - np.log(pr)
+        total[redo] = np.multiply(qr, logs, out=np.zeros_like(logs),
+                                  where=qr > 0.0).sum(axis=1)
+    return total
+
+
 def kl_divergence(q, p) -> float:
     """D(q || p) in nats with 0 log 0 = 0; +inf when q charges a p-null type.
 
@@ -340,7 +369,7 @@ def kl_divergence(q, p) -> float:
     pv = _as_pmf(p)
     if qv.size != pv.size:
         raise ValueError("distributions must have the same length")
-    return float(rel_entr(qv, pv).sum())
+    return float(_rel_entr_sum(qv[None], pv[None])[0])
 
 
 def _log(codewords: np.ndarray) -> np.ndarray:
@@ -451,7 +480,7 @@ def _kl_tail_chunk(args) -> int:
     rng = _substream(seed, _STREAM_KL_CHUNK, index)
     p = _dirichlet(rng, alpha, (size, n))
     counts = rng.multinomial(reads, p)
-    div = rel_entr(counts / reads, p).sum(axis=1)
+    div = _rel_entr_sum(counts / reads, p)
     return int(np.count_nonzero(div >= rho_n))
 
 
@@ -538,7 +567,13 @@ def _moment_chunk(args) -> tuple[float, float]:
     x = _to_simplex(np.stack([draws for draws, _ in cols], axis=1),
                     lambda rows: np.stack([log(rows) for _, log in cols],
                                           axis=1))
-    prods = np.exp(xlogy(b, x).sum(axis=1))
+    # sum_i b_i log x_i.  The b_i = 0 columns take the log of x_i + 1, which
+    # is finite, so they add 0 (0 log 0 = 0); log 0 = -inf in the others
+    # makes the product 0.
+    logs = np.add(x, b == 0.0)
+    with np.errstate(divide="ignore"):
+        np.log(logs, out=logs)
+    prods = np.exp(np.multiply(logs, b, out=logs).sum(axis=1))
     return float(prods.sum()), float((prods * prods).sum())
 
 

@@ -4,7 +4,8 @@ Every level of the chain is a closed-form function of one kappa in [0, 1):
 F(kappa) = E exp(kappa |XY|) = (1 + (2/pi) asin kappa) / sqrt(1 - kappa^2)
 (Owen, "A table of normal integrals", 1980); x(kappa) = (log F)'(kappa),
 where the Legendre transform is G(x) = kappa x - log F(kappa); the L
-crossing G(lam sigma) = J(sigma) at sigma = -W0(-exp(-1 - 2 G)) and
+crossing G(lam sigma) = J(sigma) at the root sigma < 1 of J(sigma) = G
+(it is -W0(-exp(-1 - 2 G)), found here by Newton steps in ``math``) and
 lam = x / sigma, where L(lam) = G; and the S crossing at
 rho = r log(1 / lam) / G, where S(r, rho) = G.  x, G and lam increase in
 kappa and rho decreases, so ``g_fn``, ``l_fn`` and ``s_fn`` each invert
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.special import lambertw
 
 from .optimize import OptimizerSettings, SearchInterval, maximize_scalar
 from .rc_bounds import BoundQuery
@@ -38,11 +37,25 @@ __all__ = [
 # E|XY| for independent standard normals; G and L vanish at or below it.
 MEAN_ABS_XY = 2.0 / math.pi
 
-# sigma comes from W0 near its branch point, so lam(kappa) carries noise of
-# about 1e-16 / (1 - sigma): a Newton step below _SOLVE_RTOL is at the noise.
+# Newton steps in kappa converge quadratically, so once a step is below
+# _SOLVE_RTOL the next would be at rounding.
 _SOLVE_RTOL = 1e-12
 _SOLVE_ATOL = 1e-20
 _SOLVE_ITERS = 100
+
+# sigma - log sigma - 1 = 2G: below G = 1/2, u = 1 - sigma starts from the
+# series of W0 at its branch point, u = p - p^2/3 + 11/72 p^3 - ..., in
+# p = sqrt(2 (1 - exp(-2G))) (Corless et al., "On the Lambert W
+# function", 1996), highest power first.  Newton steps stop after one
+# below _SIGMA_RTOL, which leaves the error at rounding: it squares with
+# each step.  Below u = _SERIES_U the residual -log1p(-u) - u = sum of
+# u^k / k over k >= 2 is summed directly, since log1p cancels there.
+_BRANCH = (680863 / 43545600, -221 / 8505, 769 / 17280, -43 / 540,
+           11 / 72, -1 / 3, 1.0)
+_SERIES_U = 0.05
+_SERIES = tuple(1.0 / k for k in range(15, 1, -1))
+_SIGMA_RTOL = 1e-8
+_SIGMA_ITERS = 20
 
 
 @dataclass(frozen=True)
@@ -100,6 +113,42 @@ def f_kappa(kappa: float) -> float:
         (1.0 - kappa) * (1.0 + kappa))
 
 
+def _sigma(g: float) -> tuple[float, float]:
+    """(sigma, 1 - sigma) for the root sigma in (0, 1] of J(sigma) = g."""
+    if not g > 0.0:
+        return 1.0, 0.0
+    two_g = 2.0 * g
+    if g < 0.5:
+        p = math.sqrt(-2.0 * math.expm1(-two_g))
+        u = 0.0
+        for c in _BRANCH:
+            u = u * p + c
+        u *= p
+        for _ in range(_SIGMA_ITERS):
+            if u < _SERIES_U:
+                residual = 0.0
+                for c in _SERIES:
+                    residual = residual * u + c
+                residual *= u * u
+            else:
+                residual = -math.log1p(-u) - u
+            step = (residual - two_g) * (1.0 - u) / u
+            u -= step
+            if abs(step) <= _SIGMA_RTOL * u:
+                return 1.0 - u, u
+    else:
+        # From the left of the root, where the convex residual keeps each
+        # Newton step short of it.
+        sigma = math.exp(-1.0 - two_g)
+        for _ in range(_SIGMA_ITERS):
+            step = ((sigma - math.log(sigma) - 1.0 - two_g) * sigma
+                    / (sigma - 1.0))
+            sigma -= step
+            if abs(step) <= _SIGMA_RTOL * sigma:
+                return sigma, 1.0 - sigma
+    raise ArithmeticError(f"sigma solve did not converge at G = {g}")
+
+
 def _chain(kappa: float) -> tuple[float, float, float, float, float, float]:
     """(x, dx/dkappa, lam, dlam/dkappa, G, sigma) at kappa in (0, 1)."""
     gap = (1.0 - kappa) * (1.0 + kappa)
@@ -110,12 +159,11 @@ def _chain(kappa: float) -> tuple[float, float, float, float, float, float]:
     dx = (MEAN_ABS_XY * (kappa * a / root - MEAN_ABS_XY) / (gap * a * a)
           + (1.0 + kappa * kappa) / (gap * gap))
     g = kappa * x - math.log1p(bend) + 0.5 * math.log1p(-kappa * kappa)
-    sigma = -float(lambertw(-math.exp(-1.0 - 2.0 * g)).real)
+    sigma, u = _sigma(g)
     lam = x / sigma
     # J(sigma) = G: (1 - 1/sigma) dsigma = 2 dG, with dG = kappa dx.  NaN
-    # (a bisection in _solve) where G is below sigma's resolution.
-    dsigma = (2.0 * kappa * dx * sigma / (sigma - 1.0) if sigma < 1.0
-              else math.nan)
+    # (a bisection in _solve) where G has rounded to 0 or below.
+    dsigma = -2.0 * kappa * dx * sigma / u if u > 0.0 else math.nan
     return x, dx, lam, (dx - lam * dsigma) / sigma, g, sigma
 
 

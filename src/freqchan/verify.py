@@ -173,16 +173,17 @@ def _suite_channel(seed: int) -> list[Check]:
     checks.append(("overlap tail under its ceiling", ok,
                    f"emp={bc.empirical:.3g} bound={bc.bound:.3g}"))
 
-    config = SimConfig(n=30, r=4.0, alpha=0.5, trials=400, seed=seed, M=4)
+    # 2,000 trials are four chunks of 546 at M = 4, n = 30, so the pool runs.
+    config = SimConfig(n=30, r=4.0, alpha=0.5, trials=2000, seed=seed, M=4)
     rep1 = estimate_error_probability(config)
     rep2 = estimate_error_probability(config)
-    par = SimConfig(n=30, r=4.0, alpha=0.5, trials=400, seed=seed, M=4,
+    par = SimConfig(n=30, r=4.0, alpha=0.5, trials=2000, seed=seed, M=4,
                     parallelism=4)
     rep3 = estimate_error_probability(par)
     ok = (rep1.errors == rep2.errors == rep3.errors
           and rep1.wilson_ci[0] <= rep1.eps_hat <= rep1.wilson_ci[1])
     checks.append(("simulation deterministic and parallelism invariant", ok,
-                   f"errors={rep1.errors}/400"))
+                   f"errors={rep1.errors}/{config.trials}"))
 
     fir = fir_rate(FirQuery(g=1000.0, r=400.0))
     ok = 0.0 < fir < converse_rate(400.0)

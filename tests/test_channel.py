@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from freqchan import channel
 from freqchan.channel import (BcTailReport, Codebook, DecodeError,
@@ -129,6 +131,27 @@ class TestDivergenceAndOverlap:
         sc = SampleCounts(counts=np.array([3, 1]), trials=4)
         assert kl_divergence(sc, np.array([0.5, 0.5])) \
             == pytest.approx(KL_34_12, rel=1e-14)
+
+    def test_batched_kl_matches_scipy_rel_entr(self):
+        rng = np.random.default_rng(31)
+        q = rng.dirichlet(np.full(7, 0.5), size=400)
+        q[rng.random(q.shape) < 0.3] = 0.0
+        p = rng.dirichlet(np.full(7, 0.5), size=400)
+        p[rng.random(p.shape) < 0.1] = 0.0  # some q > 0 = p: +inf
+        # Ratios q / p beyond the float range: subnormal p, subnormal q.
+        p[:20, 0] = 1e-320
+        q[20:40, 0] = 1e-320
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = channel._rel_entr_sum(q, p)
+        want = scipy.special.rel_entr(q, p).sum(axis=1)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert 0 < np.count_nonzero(np.isinf(got)) < 400
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=1e-16)
+        assert kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 1e-320])) \
+            == pytest.approx(math.log(0.5) - 0.5 * math.log(1e-320),
+                             rel=1e-15, abs=0.0)
 
     def test_kl_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -262,7 +285,8 @@ class TestErrorSimulation:
         assert rep.errors == 0 and rep.eps_hat == 0.0
 
     def test_deterministic_and_parallelism_invariant(self):
-        base = dict(n=10, r=2.0, alpha=0.5, trials=600, seed=11, M=8)
+        # Three chunks (2 x 819 + 362), so parallelism 4 starts a pool.
+        base = dict(n=10, r=2.0, alpha=0.5, trials=2000, seed=11, M=8)
         rep1 = estimate_error_probability(SimConfig(**base))
         rep2 = estimate_error_probability(SimConfig(**base))
         rep4 = estimate_error_probability(SimConfig(**base, parallelism=4))
@@ -479,6 +503,18 @@ class TestTinyAlpha:
     def test_product_moment(self):
         rep = estimate_product_moment([0.002, 0.002], [0.5, 0.0],
                                       trials=4096, seed=1)
+        assert math.isfinite(rep.mc_estimate)
+        assert abs(rep.mc_estimate - rep.closed_form) \
+            <= 4.0 * rep.mc_std_err
+
+    def test_zero_beta_columns_are_quiet(self):
+        # Coordinates that underflow to 0 under a zero exponent are
+        # 0 log 0 = 0 terms: no RuntimeWarning and no NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = estimate_product_moment([0.002, 0.002, 1.0],
+                                          [0.5, 0.0, 1.0],
+                                          trials=4096, seed=1)
         assert math.isfinite(rep.mc_estimate)
         assert abs(rep.mc_estimate - rep.closed_form) \
             <= 4.0 * rep.mc_std_err

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -15,6 +16,15 @@ from freqchan.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED,
 def _read(path):
     with open(path, newline="") as fh:
         return fh.read()
+
+
+def _child_env():
+    """The environment for a child interpreter that imports this freqchan."""
+    src = os.path.dirname(os.path.dirname(freqchan.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestParseRange:
@@ -150,10 +160,13 @@ class TestSimulateCommand:
         assert cells[0] == "10" and cells[3] == "8" and cells[6] == "42"
 
     def test_parallelism_not_in_csv(self, tmp_path):
+        # 2,000 trials are three chunks at M = 8, n = 10, so a pool runs.
+        args = ["simulate", "--n", "10", "--r", "2", "--M", "8",
+                "--trials", "2000", "--seed", "42"]
         out1 = tmp_path / "p1.csv"
         out16 = tmp_path / "p16.csv"
-        main(self.ARGS + ["--parallelism", "1", "--out", str(out1)])
-        main(self.ARGS + ["--parallelism", "16", "--out", str(out16)])
+        main(args + ["--parallelism", "1", "--out", str(out1)])
+        main(args + ["--parallelism", "16", "--out", str(out16)])
         assert _read(out1) == _read(out16)
 
     def test_single_message_zero_errors(self, tmp_path):
@@ -286,13 +299,9 @@ class TestModuleEntryPoint:
 
     @staticmethod
     def _run(*argv):
-        src = os.path.dirname(os.path.dirname(freqchan.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         return subprocess.run([sys.executable, "-m", "freqchan", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
+                              env=_child_env(), capture_output=True,
+                              text=True, timeout=120)
 
     def test_rates_writes_csv(self, tmp_path):
         out = tmp_path / "rates.csv"
@@ -306,3 +315,36 @@ class TestModuleEntryPoint:
                          "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == EXIT_USAGE
         assert "usage error" in proc.stderr
+
+
+class TestRuntimeImports:
+    """The library runs on numpy alone; scipy is a test-only reference."""
+
+    SCRIPT = """
+import json, os, sys
+from freqchan.cli import main
+out = sys.argv[1]
+codes = [
+    main(["exponents", "--r", "400", "--rate", "0:0.02:0.01",
+          "--which", "both", "--out", os.path.join(out, "e.csv")]),
+    main(["rates", "--r", "1:21:10", "--g", "200",
+          "--out", os.path.join(out, "r.csv")]),
+    main(["simulate", "--n", "10", "--r", "2", "--M", "4", "--trials", "200",
+          "--seed", "1", "--parallelism", "1",
+          "--out", os.path.join(out, "s.csv")]),
+]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy"),
+                  "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT,
+                               str(tmp_path)], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().split("\n")[-1])
+        assert seen["codes"] == [EXIT_OK] * 3
+        assert seen["scipy"] == []
+        assert seen["numpy.random"]

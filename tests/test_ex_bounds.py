@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
+from freqchan import ex_bounds
 from freqchan.ex_bounds import (MEAN_ABS_XY, ExParams, ExSettings,
                                 ex_exponent, f_kappa, g_fn, j_fn, l_fn,
                                 s_fn)
@@ -77,6 +78,68 @@ def _kappa_point(kappa: float, r: float) -> tuple[float, float, float, float]:
                                   xtol=1e-16, rtol=1e-15)
     lam = x / sigma
     return x, g, lam, r * math.log(1.0 / lam) / g
+
+
+def _two_j(sigma: float, u: float) -> float:
+    """2 J(sigma) = sigma - log sigma - 1 with u = 1 - sigma, summed as
+    u^2 / 2 + u^3 / 3 + ... while u < 1/2, where the closed form cancels."""
+    if u < 0.5:
+        return math.fsum(u ** k / k for k in range(2, 120))
+    return sigma - math.log(sigma) - 1.0
+
+
+class TestSigma:
+    """sigma < 1 with J(sigma) = G, the root behind every L and S level."""
+
+    G_GRID = np.concatenate([np.geomspace(1e-12, 30.0, 600),
+                             [np.nextafter(0.5, 0.0), 0.5,
+                              np.nextafter(0.5, 1.0)]])
+
+    def test_residual(self):
+        for g in self.G_GRID:
+            sigma, u = ex_bounds._sigma(float(g))
+            assert 0.0 < sigma < 1.0
+            assert abs(sigma + u - 1.0) <= 2e-16
+            assert 0.5 * _two_j(sigma, u) == pytest.approx(g, rel=5e-15,
+                                                           abs=0.0)
+
+    def test_matches_brentq(self):
+        for g in self.G_GRID:
+            g = float(g)
+            sigma, u = ex_bounds._sigma(g)
+            if g < 0.5:
+                want = scipy.optimize.brentq(
+                    lambda v: _two_j(1.0 - v, v) - 2.0 * g, 0.0, 0.9,
+                    xtol=1e-300, rtol=1e-15)
+                assert u == pytest.approx(want, rel=1e-14, abs=0.0)
+            else:
+                want = scipy.optimize.brentq(
+                    lambda s: s - math.log(s) - 1.0 - 2.0 * g, 1e-300, 0.5,
+                    xtol=1e-300, rtol=1e-15)
+                assert sigma == pytest.approx(want, rel=2e-14, abs=0.0)
+
+    def test_no_root_at_or_below_zero(self):
+        assert ex_bounds._sigma(0.0) == (1.0, 0.0)
+        assert ex_bounds._sigma(-1e-18) == (1.0, 0.0)
+
+    def test_l_fn_steps_near_two_over_pi(self, monkeypatch):
+        # Near lam = 2/pi sigma sits at its branch point; noise in it turns
+        # the Newton steps in kappa into bisections (61 chain evaluations
+        # per l_fn when sigma came from scipy's lambertw).
+        chain = ex_bounds._chain
+        calls = []
+
+        def counted(kappa):
+            calls[-1] += 1
+            return chain(kappa)
+
+        monkeypatch.setattr(ex_bounds, "_chain", counted)
+        for lam in np.linspace(MEAN_ABS_XY + 1e-6, 1.0, 2001,
+                               endpoint=False):
+            calls.append(0)
+            l_fn(float(lam))
+        assert max(calls) <= 25
+        assert np.median(calls) <= 7
 
 
 class TestKappaChain:

@@ -11,6 +11,21 @@ ZETA_3_2 = 2.6123753486854883433
 ZETA_1_01 = 100.57794333849687249
 PSI_400 = 6.9927135067414487779
 PSI_QUARTER = 0.62550302942273484942
+# zeta at the double nearest each s, around the s = 20 seam of the two
+# evaluation branches and near the pole.
+ZETA_40_DIGITS = {
+    1.00000001: 100000001.184962766415,
+    1.001: 1000.57728847601162685,
+    1.5: 2.61237534868548834335,
+    2.5: 1.34148725725091717976,
+    7.3: 1.00672598641661358628,
+    13.7: 1.00007543972450689159,
+    19.999: 1.00000095462361621835,
+    20.0: 1.0000009539620338728,
+    20.001: 1.00000095330091007088,
+    35.0: 1.00000000002910385044,
+    64.5: 1.0,
+}
 
 
 class TestLogGamma:
@@ -46,10 +61,21 @@ class TestZeta:
         assert zeta(1.01) == pytest.approx(ZETA_1_01, rel=1e-10)
 
     def test_matches_scipy_on_grid(self):
-        for s in np.concatenate([np.linspace(1.001, 4, 20),
-                                 np.linspace(4, 60, 15)]):
+        # Both branches and the s = 20 seam.  scipy is itself up to ~9e-16
+        # off a 40-digit reference here (s near 4), while zeta stays within
+        # ~5e-16, so the tight bound is the one against 40 digits below.
+        grid = np.concatenate([
+            1.0 + np.logspace(-8, 0, 200),
+            np.linspace(2.0, 20.0, 900, endpoint=False),
+            [np.nextafter(20.0, 0.0), 20.0, np.nextafter(20.0, 21.0)],
+            np.linspace(20.0, 300.0, 200)])
+        for s in grid:
             assert zeta(float(s)) == pytest.approx(
-                float(scipy.special.zeta(s, 1)), rel=1e-10)
+                float(scipy.special.zeta(s, 1)), rel=1.5e-15, abs=0.0)
+
+    @pytest.mark.parametrize("s, want", list(ZETA_40_DIGITS.items()))
+    def test_matches_40_digit_reference(self, s, want):
+        assert zeta(s) == pytest.approx(want, rel=5e-16, abs=0.0)
 
     def test_large_argument_tends_to_one(self):
         assert zeta(50.0) == pytest.approx(1.0000000000000009, rel=1e-12)
