@@ -47,7 +47,6 @@ from .optimize import (
 )
 from .rc_bounds import (
     BoundQuery,
-    CapWarning,
     ExponentPoint,
     KlTailBound,
     RcParams,
@@ -62,4 +61,4 @@ from .rc_bounds import (
 )
 from .special_fn import log_gamma, psi_fn, zeta
 
-__version__ = "0.1.4"
+__version__ = "0.1.5"

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .optimize import OptimizerSettings, SearchInterval, maximize_scalar
+from .optimize import (OptimizerSettings, SearchInterval, maximize_scalar,
+                       newton_root)
 from .rc_bounds import BoundQuery
 
 __all__ = [
@@ -37,11 +38,12 @@ __all__ = [
 # E|XY| for independent standard normals; G and L vanish at or below it.
 MEAN_ABS_XY = 2.0 / math.pi
 
-# Newton steps in kappa converge quadratically, so once a step is below
-# _SOLVE_RTOL the next would be at rounding.
-_SOLVE_RTOL = 1e-12
-_SOLVE_ATOL = 1e-20
-_SOLVE_ITERS = 100
+# Newton solves in kappa start at 0.2, just above every L and S root
+# (lam(0.19285) = 1); l_fn near 2/pi starts from the linearization of lam
+# at kappa = 0, whose slope is (1 - 4/pi^2) + (2/pi) sqrt(2 (1 - 4/pi^2)).
+_KAPPA_START = 0.2
+_LAM_SLOPE = (1.0 - MEAN_ABS_XY ** 2) + MEAN_ABS_XY * math.sqrt(
+    2.0 * (1.0 - MEAN_ABS_XY ** 2))
 
 # sigma - log sigma - 1 = 2G: below G = 1/2, u = 1 - sigma starts from the
 # series of W0 at its branch point, u = p - p^2/3 + 11/72 p^3 - ..., in
@@ -162,46 +164,19 @@ def _chain(kappa: float) -> tuple[float, float, float, float, float, float]:
     sigma, u = _sigma(g)
     lam = x / sigma
     # J(sigma) = G: (1 - 1/sigma) dsigma = 2 dG, with dG = kappa dx.  NaN
-    # (a bisection in _solve) where G has rounded to 0 or below.
+    # (a bisection in newton_root) where G has rounded to 0 or below.
     dsigma = -2.0 * kappa * dx * sigma / u if u > 0.0 else math.nan
     return x, dx, lam, (dx - lam * dsigma) / sigma, g, sigma
 
 
-def _solve(phi) -> float:
-    """The root in (0, 1) of phi, increasing from phi(0) < 0.
-
-    ``phi(kappa)`` returns (value, slope).  A Newton step that leaves the
-    bracket, or is not half the previous step, becomes a bisection.
-    """
-    lo, hi = 0.0, 1.0
-    kappa = step = 0.2  # just above every L and S root: lam(0.19285) = 1
-    for _ in range(_SOLVE_ITERS):
-        value, slope = phi(kappa)
-        newton = value / slope
-        if abs(newton) <= _SOLVE_RTOL * kappa:
-            return kappa - newton
-        if value < 0.0:
-            lo = kappa
-        else:
-            hi = kappa
-        nxt = kappa - newton
-        if not (lo < nxt < hi and abs(newton) <= 0.5 * step):
-            nxt = 0.5 * (lo + hi)
-        if hi - lo <= _SOLVE_RTOL * hi + _SOLVE_ATOL:
-            return nxt
-        step = abs(nxt - kappa)
-        kappa = nxt
-    raise ArithmeticError(f"kappa solve did not converge, last {kappa}")
-
-
-def _kappa_at(level: int, target: float) -> float:
+def _kappa_at(level: int, target: float, start: float) -> float:
     """kappa where x (level 0) or lam (level 2) equals target."""
 
     def phi(kappa: float) -> tuple[float, float]:
         c = _chain(kappa)
         return c[level] - target, c[level + 1]
 
-    return _solve(phi)
+    return newton_root(phi, 0.0, 1.0, start)
 
 
 def _kappa_at_rho(r: float, rho: float) -> float:
@@ -211,7 +186,7 @@ def _kappa_at_rho(r: float, rho: float) -> float:
         _, dx, lam, dlam, g, _ = _chain(kappa)
         return rho * g + r * math.log(lam), rho * kappa * dx + r * dlam / lam
 
-    return _solve(phi)
+    return newton_root(phi, 0.0, 1.0, _KAPPA_START)
 
 
 def g_fn(x: float) -> float:
@@ -224,7 +199,7 @@ def g_fn(x: float) -> float:
         raise ValueError(f"x must lie in [0, 1), got {x}")
     if x <= MEAN_ABS_XY:
         return 0.0
-    return _chain(_kappa_at(0, x))[4]
+    return _chain(_kappa_at(0, x, _KAPPA_START))[4]
 
 
 def j_fn(sigma: float) -> float:
@@ -247,7 +222,8 @@ def l_fn(lam: float) -> float:
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
     if lam <= MEAN_ABS_XY:
         return 0.0
-    return _chain(_kappa_at(2, lam))[4]
+    start = min(_KAPPA_START, (lam - MEAN_ABS_XY) / _LAM_SLOPE)
+    return _chain(_kappa_at(2, lam, start))[4]
 
 
 def s_fn(r: float, rho: float) -> float:

@@ -1,9 +1,11 @@
-"""Deterministic scalar optimization on bounded or half-open intervals.
+"""Deterministic scalar optimization and root finding on intervals.
 
-The strategy everywhere is a coarse grid scan followed by golden-section
-refinement around the best grid cell.  It is derivative-free on purpose:
-the objectives fed to this module contain inner optimizations and
-root solves, so gradients would be noisy and fragile.
+``maximize_scalar`` scans a coarse grid and refines the best cell by
+golden section.  It is derivative-free on purpose: its objectives
+contain inner optimizations and root solves, so gradients would be
+noisy and fragile.  ``newton_root`` is the package's one root-finder:
+safeguarded Newton steps on an increasing function whose slope is
+known in closed form, falling back to bisection of the bracket.
 """
 
 from __future__ import annotations
@@ -18,9 +20,16 @@ __all__ = [
     "SearchInterval",
     "maximize_scalar",
     "minimize_scalar",
+    "newton_root",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Newton steps converge quadratically, so once a step is below
+# _ROOT_RTOL the next would be at rounding.
+_ROOT_RTOL = 1e-12
+_ROOT_ATOL = 1e-20
+_ROOT_ITERS = 100
 
 
 class EvaluationError(RuntimeError):
@@ -139,3 +148,32 @@ def minimize_scalar(
     """Return (argmin, value); implemented as maximization of the negation."""
     x, v = maximize_scalar(lambda t: -objective(t), interval, settings)
     return x, -v
+
+
+def newton_root(phi: Callable[[float], tuple[float, float]], lo: float,
+                hi: float, start: float) -> float:
+    """The root in (lo, hi) of phi, increasing from phi(lo) < 0.
+
+    ``phi(x)`` returns (value, slope); the search starts at ``start``.
+    A Newton step that leaves the bracket, or is not half the previous
+    step (the first is measured against ``start``), becomes a bisection.
+    Raises ArithmeticError if neither converges.
+    """
+    x = step = start
+    for _ in range(_ROOT_ITERS):
+        value, slope = phi(x)
+        newton = value / slope
+        if abs(newton) <= _ROOT_RTOL * x:
+            return x - newton
+        if value < 0.0:
+            lo = x
+        else:
+            hi = x
+        nxt = x - newton
+        if not (lo < nxt < hi and abs(newton) <= 0.5 * step):
+            nxt = 0.5 * (lo + hi)
+        if hi - lo <= _ROOT_RTOL * hi + _ROOT_ATOL:
+            return nxt
+        step = abs(nxt - x)
+        x = nxt
+    raise ArithmeticError(f"root solve did not converge, last {x}")

@@ -10,25 +10,29 @@ Both optimized quantities grow with A = Lambda(r, alpha, xi) - xi Delta(r)
 and Lambda strictly decreases in alpha on alpha >= 1/2:
 dLambda/dalpha = digamma(alpha) - log(alpha) - (alpha - 1/2)/(alpha + xi r),
 and digamma(alpha) < log(alpha) - 1/(2 alpha) for every alpha > 0 (Alzer,
-Math. Comp. 66, 1997).  So the alpha argmax is the open end of
-(1/2, alpha_cap], moved inward by the optimizer's ``open_margin``, and
-each bound is one scalar search in xi.
+Math. Comp. 66, 1997).  So the supremum over alpha > 1/2 is the alpha = 1/2
+limit, where Lambda = Psi(2 xi r)/2 - log(2)/2 and A is concave in xi with
+A'(xi) = r log(1 + 1/(2 xi r)) - Delta.  A' vanishes at
+xi_LB = 1/(2 r (exp(Delta/r) - 1)), which gives the rate bound in closed
+form, R_LB = -log(2 (1 - exp(-Delta/r)))/2.  The exponent has Gallager's
+parametric form (Information Theory and Reliable Communication, 1968,
+ch. 5): E = A'(xi) at the one xi in (0, xi_LB) where
+A - (1 + xi) A' = R, an increasing function of xi, so each R < R_LB
+takes one Newton root solve and E = 0 from R_LB on.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
-from .optimize import (OptimizerSettings, SearchInterval, maximize_scalar,
-                       minimize_scalar)
+from .optimize import (OptimizerSettings, SearchInterval, minimize_scalar,
+                       newton_root)
 from .special_fn import log_gamma, psi_fn, zeta
 
 __all__ = [
     "BoundQuery",
-    "CapWarning",
     "ExponentPoint",
     "KlTailBound",
     "RcParams",
@@ -44,12 +48,6 @@ __all__ = [
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
-# Relative closeness to a cap at which the argmax is reported as capped.
-_CAP_RTOL = 1e-6
-
-
-class CapWarning(UserWarning):
-    """An optimized parameter landed on its configured cap."""
 
 
 @dataclass(frozen=True)
@@ -60,30 +58,22 @@ class RcParams:
     xi: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.5:
-            raise ValueError(f"alpha must exceed 1/2, got {self.alpha}")
+        if not self.alpha >= 0.5:
+            raise ValueError(f"alpha must be at least 1/2, got {self.alpha}")
         if not self.xi > 0.0:
             raise ValueError(f"xi must be positive, got {self.xi}")
 
 
 @dataclass(frozen=True)
 class RcSettings:
-    """Search caps and optimizer configuration for the rc bounds.
+    """Search configuration for Delta's q-infimum.
 
     ``q_interval`` of None means the default (2, max(400, 4 r)] domain,
     resolved per query inside ``delta_fn``.
     """
 
     q_interval: SearchInterval | None = None
-    alpha_cap: float = 50.0
-    xi_cap: float = 10.0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
-
-    def __post_init__(self) -> None:
-        if not self.alpha_cap > 0.5:
-            raise ValueError("alpha_cap must exceed 1/2")
-        if self.xi_cap <= 0.0:
-            raise ValueError("xi_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -128,9 +118,8 @@ def lambda_fn(r: float, alpha: float, xi: float) -> float:
     """alpha Psi(xi r / alpha) - (2 alpha - 1)/2 log(alpha + xi r)
     - log(2 pi)/2 + log Gamma(alpha).
 
-    Defined for alpha >= 1/2 and xi >= 0 (the optimization itself stays
-    strictly above 1/2, but the alpha = 1/2 edge has a closed form the
-    tests rely on).
+    Defined for alpha >= 1/2 and xi >= 0.  At alpha = 1/2 it is
+    Psi(2 xi r)/2 - log(2)/2, the value both optimized bounds use.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
@@ -174,27 +163,9 @@ def _delta_cached(r: float, settings: RcSettings) -> float:
     return value
 
 
-def _maximize(r: float, rate: float | None,
-              settings: RcSettings) -> tuple[float, float, float]:
-    """(alpha, xi, value) maximizing [A - R]_+ / (1 + xi), or A itself
-    when ``rate`` is None."""
-    r = float(r)
-    delta = delta_fn(r, settings)
-    alpha_star, _ = SearchInterval(0.5, settings.alpha_cap, open_lo=True) \
-        .effective_bounds(settings.optimizer.open_margin)
-
-    def objective(xi: float) -> float:
-        a = lambda_fn(r, alpha_star, xi) - xi * delta
-        return a if rate is None else max(a - rate, 0.0) / (1.0 + xi)
-
-    xi_star, value = maximize_scalar(
-        objective, SearchInterval(0.0, settings.xi_cap, open_lo=True),
-        settings.optimizer)
-    if xi_star >= settings.xi_cap * (1.0 - _CAP_RTOL):
-        warnings.warn(
-            f"argmax xi = {xi_star:.6g} touched its cap {settings.xi_cap:.6g}; "
-            "consider raising the cap in RcSettings", CapWarning, stacklevel=3)
-    return alpha_star, xi_star, value
+def _r_lb(r: float, delta: float) -> float:
+    """R_LB = A(xi_LB) = -log(2 (1 - exp(-Delta/r)))/2."""
+    return -0.5 * math.log(-2.0 * math.expm1(-delta / r))
 
 
 def rc_exponent(query: BoundQuery,
@@ -204,22 +175,36 @@ def rc_exponent(query: BoundQuery,
     The inner supremum over mu > 0 of min([A - xi mu]_+, mu) with
     A = Lambda - xi Delta - R equals [A]_+ / (1 + xi) exactly (the two
     branches cross at mu = A / (1 + xi), which is E itself), so only
-    alpha and xi make up the witness.
+    alpha = 1/2 and xi make up the witness.  Below R_LB, xi is the root
+    of A - (1 + xi) A' = R; from R_LB on, E = 0 and xi = xi_LB.
     """
-    alpha_star, xi_star, value = _maximize(query.r, query.R,
-                                           settings or RcSettings())
-    return ExponentPoint(R=query.R, E=max(value, 0.0),
-                         argmax=RcParams(alpha_star, xi_star))
+    r, rate = float(query.r), query.R
+    delta = delta_fn(r, settings)
+    xi_lb = 0.5 / (r * math.expm1(delta / r))  # A'(xi_LB) = 0
+    if rate >= _r_lb(r, delta):
+        return ExponentPoint(R=rate, E=0.0, argmax=RcParams(0.5, xi_lb))
+
+    def a_fn(xi: float) -> float:
+        return lambda_fn(r, 0.5, xi) - xi * delta
+
+    def phi(xi: float) -> tuple[float, float]:
+        slope = r * math.log1p(0.5 / (xi * r)) - delta
+        return (a_fn(xi) - (1.0 + xi) * slope - rate,
+                (1.0 + xi) * r / (xi * (1.0 + 2.0 * xi * r)))
+
+    xi = newton_root(phi, 0.0, xi_lb, xi_lb)
+    return ExponentPoint(R=rate, E=max(a_fn(xi) - rate, 0.0) / (1.0 + xi),
+                         argmax=RcParams(0.5, xi))
 
 
 def rate_lower_bound(r: float, settings: RcSettings | None = None) -> float:
-    """sup over alpha > 1/2, xi > 0 of Lambda(r, alpha, xi) - xi Delta(r).
+    """sup over alpha > 1/2, xi > 0 of Lambda(r, alpha, xi) - xi Delta(r),
+    which is -log(2 (1 - exp(-Delta/r)))/2.
 
     The value is in nats and never exceeds the converse rate log(r)/2;
     for very small r it can be negative (a vacuous but valid bound).
     """
-    _, _, value = _maximize(r, None, settings or RcSettings())
-    return value
+    return _r_lb(r, delta_fn(r, settings))
 
 
 def thm1_probability_bound(query: BoundQuery,

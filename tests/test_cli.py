@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ import freqchan.verify
 from freqchan.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED,
                           RunManifest, UsageError, main, parse_range,
                           replay_manifest)
+from freqchan.rc_bounds import delta_fn
 
 
 def _read(path):
@@ -58,6 +61,8 @@ class TestExponentsCommand:
         assert len(lines) == 5 and lines[-1] == ""
         cells = lines[1].split(",")
         assert cells[2] == "" and cells[5] == "" and cells[6] == ""
+        # The alpha supremum is the alpha = 1/2 limit on every row.
+        assert all(ln.split(",")[3] == "0.5" for ln in lines[1:-1])
         # 17 significant digits round-trip exactly.
         assert float(cells[1]) == pytest.approx(0.389138027, abs=1e-6)
         assert format(float(cells[1]), ".17g") == cells[1]
@@ -123,6 +128,9 @@ class TestRatesCommand:
             r, rlb, conv = (float(c) for c in line.split(",")[:3])
             assert conv == pytest.approx(0.5 * math.log(r), rel=1e-15)
             assert rlb < conv
+            # R_LB = -log(2 (1 - exp(-Delta/r)))/2, with no search of its own.
+            closed = -0.5 * math.log(-2.0 * math.expm1(-delta_fn(r) / r))
+            assert rlb == pytest.approx(closed, rel=1e-15)
 
     def test_no_budgets(self, tmp_path):
         out = tmp_path / "rates.csv"
@@ -263,6 +271,16 @@ class TestManifests:
         out.unlink()
         assert main(argv) == EXIT_OK
         assert _read(out) == body
+
+    def test_tool_version_matches_pyproject(self):
+        # Manifests replay byte for byte only within one tool_version, so
+        # the package and its metadata must name the same one.
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)",
+                            pyproject.read_text(), re.M | re.S).group(1)
+        version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M)
+        assert version.group(1) == freqchan.__version__
+        assert RunManifest(command="rates").tool_version == freqchan.__version__
 
 
 class TestVerifyCommand:

@@ -125,7 +125,8 @@ class TestSigma:
     def test_l_fn_steps_near_two_over_pi(self, monkeypatch):
         # Near lam = 2/pi sigma sits at its branch point; noise in it turns
         # the Newton steps in kappa into bisections (61 chain evaluations
-        # per l_fn when sigma came from scipy's lambertw).
+        # per l_fn when sigma came from scipy's lambertw), and a start far
+        # above the root bisects down to kappa ~ 1e-6 (24 from 0.2).
         chain = ex_bounds._chain
         calls = []
 
@@ -138,7 +139,7 @@ class TestSigma:
                                endpoint=False):
             calls.append(0)
             l_fn(float(lam))
-        assert max(calls) <= 25
+        assert max(calls) <= 10
         assert np.median(calls) <= 7
 
 

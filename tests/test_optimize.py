@@ -4,7 +4,7 @@ import pytest
 
 from freqchan.optimize import (EvaluationError, OptimizerSettings,
                                SearchInterval, maximize_scalar,
-                               minimize_scalar)
+                               minimize_scalar, newton_root)
 
 
 class TestSearchInterval:
@@ -110,3 +110,57 @@ class TestMinimizeScalar:
                                SearchInterval(0.0, 4.0))
         assert x == pytest.approx(1.5, abs=1e-8)
         assert v == pytest.approx(0.25, abs=1e-12)
+
+
+def _recorded(phi):
+    """phi plus the list of points it was evaluated at."""
+    seen = []
+
+    def wrapped(x):
+        seen.append(x)
+        return phi(x)
+
+    return wrapped, seen
+
+
+class TestNewtonRoot:
+    def test_newton_path(self):
+        # Quadratic convergence: a handful of evaluations, where bisection
+        # of (0, 2) to 1e-12 would need about 40.
+        phi, seen = _recorded(lambda x: (x * x - 2.0, 2.0 * x))
+        root = newton_root(phi, 0.0, 2.0, 1.5)
+        assert root == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert seen[0] == 1.5
+        assert len(seen) <= 6
+
+    def test_step_leaving_bracket_bisects(self):
+        # From x = 0.05 the Newton step on atan(10 (x - 0.7)) lands near
+        # x = 6.2, outside (0, 1), so the next point is the midpoint of
+        # the bracket (0.05, 1) that the first value left.
+        phi, seen = _recorded(lambda x: (math.atan(10.0 * (x - 0.7)),
+                                         10.0 / (1.0 + (10.0 * (x - 0.7)) ** 2)))
+        root = newton_root(phi, 0.0, 1.0, 0.05)
+        assert seen[:2] == [0.05, 0.525]
+        assert root == pytest.approx(0.7, rel=1e-12)
+
+    def test_missing_slope_bisects(self):
+        # A NaN slope (no usable derivative) falls back to bisection.
+        phi, seen = _recorded(lambda x: (x - 0.3, math.nan))
+        root = newton_root(phi, 0.0, 1.0, 0.5)
+        assert root == pytest.approx(0.3, rel=1e-11)
+        assert seen[1] == 0.25
+
+    def test_bracket_and_start_from_caller(self):
+        # log(x / 5) on (2, 10) from x = 9: every evaluation stays in the
+        # caller's bracket, and the first is the caller's start.
+        phi, seen = _recorded(lambda x: (math.log(x / 5.0), 1.0 / x))
+        root = newton_root(phi, 2.0, 10.0, 9.0)
+        assert root == pytest.approx(5.0, rel=1e-14)
+        assert seen[0] == 9.0
+        assert all(2.0 < x < 10.0 for x in seen)
+
+    def test_non_convergence_raises(self):
+        # Always positive and slope-free: bisection walks towards lo, but
+        # the relative tolerance of a bracket near -1e300 is never met.
+        with pytest.raises(ArithmeticError):
+            newton_root(lambda x: (1.0, math.nan), -1e300, 1e300, 0.0)

@@ -1,13 +1,12 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
-from freqchan.optimize import (OptimizerSettings, SearchInterval,
-                               maximize_scalar)
-from freqchan.rc_bounds import (BoundQuery, CapWarning, ExponentPoint, KlTailBound,
+from freqchan import rc_bounds
+from freqchan.optimize import SearchInterval, newton_root
+from freqchan.rc_bounds import (BoundQuery, ExponentPoint, KlTailBound,
                          RcParams, RcSettings, chernoff_pairwise_bound,
                          delta_fn, lambda_fn, lemma1_tail_bound,
                          rate_lower_bound, rc_exponent,
@@ -57,7 +56,7 @@ class TestLambdaFn:
     def test_strictly_decreasing_in_alpha(self, r, xi):
         # dLambda/dalpha = digamma(alpha) - log(alpha)
         # - (alpha - 1/2)/(alpha + xi r) < 0, which is why the rc bounds
-        # pin alpha at the open end of (1/2, alpha_cap].
+        # take the alpha = 1/2 limit.
         alphas = np.concatenate([0.5 + np.logspace(-6, -1.5, 30),
                                  np.linspace(0.6, 50.0, 300)])
         vals = [lambda_fn(r, 0.5, xi)]
@@ -144,24 +143,32 @@ class TestRcExponent:
 
     def test_alpha_pins_to_lower_edge(self):
         # The objective is decreasing in alpha throughout this family,
-        # so the argmax sits at the open lower endpoint, never a cap.
-        for R, r in ((0.0, 400.0), (1.0, 400.0), (0.2, 10.0)):
+        # so the supremum is the alpha = 1/2 limit.
+        for R, r in ((0.0, 400.0), (1.0, 400.0), (0.2, 10.0), (2.5, 400.0)):
             pt = rc_exponent(BoundQuery(R=R, r=r))
-            assert pt.argmax.alpha == pytest.approx(0.5, abs=1e-5)
+            assert pt.argmax.alpha == 0.5
 
-    def test_xi_cap_warns(self):
-        tight = RcSettings(xi_cap=0.01)
-        with pytest.warns(CapWarning):
-            rc_exponent(BoundQuery(R=0.1, r=400.0), tight)
+    def test_one_root_solve_below_the_rate_bound(self, monkeypatch):
+        solves = []
 
-    def test_no_warning_at_default_caps(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CapWarning)
-            rc_exponent(BoundQuery(R=0.5, r=400.0))
+        def counted(phi, lo, hi, start):
+            solves.append(start)
+            return newton_root(phi, lo, hi, start)
+
+        monkeypatch.setattr(rc_bounds, "newton_root", counted)
+        rc_exponent(BoundQuery(R=1.0, r=400.0))
+        assert len(solves) == 1
+        pt = rc_exponent(BoundQuery(R=2.5, r=400.0))
+        assert len(solves) == 1
+        # Past R_LB the witness is xi_LB, where A'(xi) = 0.
+        delta = delta_fn(400.0)
+        assert pt.argmax.xi == pytest.approx(
+            1.0 / (800.0 * math.expm1(delta / 400.0)), rel=1e-15)
 
     def test_params_validation(self):
+        RcParams(alpha=0.5, xi=0.1)
         with pytest.raises(ValueError):
-            RcParams(alpha=0.5, xi=0.1)
+            RcParams(alpha=0.49, xi=0.1)
         with pytest.raises(ValueError):
             RcParams(alpha=1.0, xi=0.0)
         with pytest.raises(ValueError):
@@ -188,41 +195,43 @@ class TestRateLowerBound:
         assert rc_exponent(BoundQuery(R=max(rlb - 0.01, 0.0), r=r)).E > 0.0
 
 
-def _nested_reference(r: float, rate: float | None,
-                      settings: RcSettings) -> float:
-    """The alpha-outer, xi-inner nested search, kept as the reference for
-    the profile engine that takes the alpha max first."""
-    delta = delta_fn(r, settings)
-    xi_interval = SearchInterval(0.0, settings.xi_cap, open_lo=True)
+def _dense_grid_reference(r: float, rate: float | None) -> float:
+    """max over a dense xi grid of [A - R]_+ / (1 + xi), or of A itself
+    when ``rate`` is None, with A = Psi(2 xi r)/2 - log(2)/2 - xi Delta(r):
+    a log grid on [1e-8, 10], then a fine linear grid over the best cells.
+    """
+    delta = delta_fn(r)
 
-    def inner(alpha: float) -> float:
-        def obj(xi: float) -> float:
-            a = lambda_fn(r, alpha, xi) - xi * delta
-            return a if rate is None else max(a - rate, 0.0) / (1.0 + xi)
-        return maximize_scalar(obj, xi_interval, settings.optimizer)[1]
+    def objective(xi):
+        t = 2.0 * xi * r
+        a = 0.5 * ((1.0 + t) * np.log1p(t) - t * np.log(t)) \
+            - 0.5 * math.log(2.0) - xi * delta
+        return a if rate is None else np.maximum(a - rate, 0.0) / (1.0 + xi)
 
-    alpha_interval = SearchInterval(0.5, settings.alpha_cap, open_lo=True)
-    return maximize_scalar(inner, alpha_interval, settings.optimizer)[1]
+    xi = np.logspace(-8.0, 1.0, 100_001)
+    i = int(np.argmax(objective(xi)))
+    fine = np.linspace(xi[max(i - 2, 0)], xi[min(i + 2, xi.size - 1)],
+                       100_001)
+    return float(objective(fine).max())
 
 
-class TestOrderSwap:
-    """Taking the alpha max first gives the nested search's values."""
-
-    SETTINGS = RcSettings(optimizer=OptimizerSettings(coarse_points=65))
+class TestDenseXiGrid:
+    """The root solve and the closed-form R_LB against a dense xi grid of
+    the alpha = 1/2 objective."""
 
     @pytest.mark.parametrize("R, r", [
-        (0.0, 400.0), (1.0, 400.0), (0.2, 10.0), (0.1, 1.0), (0.0, 0.5),
+        (0.0, 400.0), (1.0, 400.0), (1.9, 400.0), (2.5, 400.0),
+        (0.2, 10.0), (0.05, 4.0), (0.0, 2.0), (0.1, 1.0), (0.0, 0.5),
+        (3.0, 5000.0),
     ])
-    def test_exponent_matches_nested_search(self, R, r):
-        got = rc_exponent(BoundQuery(R=R, r=r), self.SETTINGS).E
-        want = max(_nested_reference(r, R, self.SETTINGS), 0.0)
-        assert got == pytest.approx(want, abs=1e-9)
+    def test_exponent_matches_grid(self, R, r):
+        got = rc_exponent(BoundQuery(R=R, r=r)).E
+        assert got == pytest.approx(_dense_grid_reference(r, R), abs=1e-9)
 
-    @pytest.mark.parametrize("r", [0.5, 10.0, 400.0])
-    def test_rate_bound_matches_nested_search(self, r):
-        got = rate_lower_bound(r, self.SETTINGS)
-        assert got == pytest.approx(
-            _nested_reference(r, None, self.SETTINGS), abs=1e-9)
+    @pytest.mark.parametrize("r", [0.3, 0.5, 10.0, 400.0, 5000.0])
+    def test_rate_bound_matches_grid(self, r):
+        got = rate_lower_bound(r)
+        assert got == pytest.approx(_dense_grid_reference(r, None), abs=1e-9)
 
 
 class TestFiniteNBounds:
