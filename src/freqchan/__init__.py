@@ -61,4 +61,4 @@ from .rc_bounds import (
 )
 from .special_fn import log_gamma, psi_fn, zeta
 
-__version__ = "0.1.5"
+__version__ = "0.1.6"

@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rate grid in nats")
     p.add_argument("--which", choices=("rc", "ex", "both"), default="both")
     p.add_argument("--rho-max", type=float, default=1000.0,
-                   help="search cap for the expurgation power")
+                   help="cap on the expurgation power rho")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--gnuplot", help="also write a two-column plot file")
     p.set_defaults(func=cmd_exponents)

@@ -9,31 +9,21 @@ crossing G(lam sigma) = J(sigma) at the root sigma < 1 of J(sigma) = G
 lam = x / sigma, where L(lam) = G; and the S crossing at
 rho = r log(1 / lam) / G, where S(r, rho) = G.  x, G and lam increase in
 kappa and rho decreases, so ``g_fn``, ``l_fn`` and ``s_fn`` each invert
-one of them by safeguarded Newton steps, and ``ex_exponent`` is one
-scalar search over kappa of rho (G - R).
+one of them by safeguarded Newton steps, and ``ex_exponent`` inverts the
+increasing rate R(kappa) at which rho (G - R) peaks along the path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .optimize import (OptimizerSettings, SearchInterval, maximize_scalar,
-                       newton_root)
+# perfbench/tracer.py wraps ex_bounds.maximize_scalar; unused here.
+from .optimize import maximize_scalar, newton_root  # noqa: F401
 from .rc_bounds import BoundQuery
 
-__all__ = [
-    "ExExponentPoint",
-    "ExParams",
-    "ExSettings",
-    "MEAN_ABS_XY",
-    "ex_exponent",
-    "f_kappa",
-    "g_fn",
-    "j_fn",
-    "l_fn",
-    "s_fn",
-]
+__all__ = ["ExExponentPoint", "ExParams", "ExSettings", "MEAN_ABS_XY",
+           "ex_exponent", "f_kappa", "g_fn", "j_fn", "l_fn", "s_fn"]
 
 # E|XY| for independent standard normals; G and L vanish at or below it.
 MEAN_ABS_XY = 2.0 / math.pi
@@ -63,7 +53,6 @@ _SIGMA_ITERS = 20
 @dataclass(frozen=True)
 class ExSettings:
     rho_max: float = 1000.0
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rho_max) and self.rho_max > 1.0):
@@ -169,6 +158,25 @@ def _chain(kappa: float) -> tuple[float, float, float, float, float, float]:
     return x, dx, lam, (dx - lam * dsigma) / sigma, g, sigma
 
 
+def _rate(kappa: float, R: float = 0.0) -> tuple[float, float]:
+    """(R(kappa) - R, R'(kappa)), where R(kappa) = G^2 p / (G p + G' ell)
+    with p = lam' / lam and ell = log(1 / lam).  rho (G - R) = r ell (1 -
+    R / G) has a kappa-derivative of the sign of R - R(kappa); R(kappa) is
+    convex and increasing in kappa and does not depend on r."""
+    x, dx, lam, dlam, g, sigma = _chain(kappa)
+    # (1 - kappa^2) F' = 2/pi + kappa F, differentiated twice, gives x''.
+    d2x = ((3.0 * x + 5.0 * kappa * dx + 2.0 * kappa * x * x)
+           / ((1.0 - kappa) * (1.0 + kappa)) - 2.0 * x * dx)
+    dg, d2g, u, p = kappa * dx, dx + kappa * d2x, 1.0 - sigma, dlam / lam
+    # p = (log x)' - (log sigma)', and (log sigma)' = -2 G' / u.
+    dp = (d2x / x - (dx / x) ** 2
+          + 2.0 * (d2g - 2.0 * dg * dg * sigma / (u * u)) / u)
+    ell = -math.log(lam)
+    den = g * p + ell * dg
+    rate = g * g * p / den
+    return rate - R, rate * (2.0 * dg / g + dp / p - (g * dp + ell * d2g) / den)
+
+
 def _kappa_at(level: int, target: float, start: float) -> float:
     """kappa where x (level 0) or lam (level 2) equals target."""
 
@@ -246,33 +254,26 @@ def ex_exponent(query: BoundQuery,
                 settings: ExSettings | None = None) -> ExExponentPoint:
     """max(0, sup over rho in (1, rho_max] of rho (S(r, rho) - R)).
 
-    Searched over kappa in [kappa(rho_max), kappa(1)).  ``rho_capped``
-    records that the argmax is the rho_max end; at very low rates the
-    objective keeps growing in rho, so the reported value is then a
-    function of the configured cap rather than a converged supremum.
+    Between R(kappa(rho_max)) and R(kappa(1)) the supremum is at the root
+    of R(kappa) = R, and from R(kappa(1)) on at the rho = 1 end.  At or
+    below R(kappa(rho_max)) it is the rho_max end, flagged ``rho_capped``:
+    the value then depends on the configured cap, not a converged supremum.
     """
     R, r = query.R, query.r
     settings = settings or ExSettings()
-
-    def obj(kappa: float) -> float:
-        _, _, lam, _, g, _ = _chain(kappa)
-        return r * math.log(1.0 / lam) * (1.0 - R / g)
-
-    k_cap = _kappa_at_rho(r, settings.rho_max)
-    k_one = _kappa_at_rho(r, 1.0)
-    if k_cap < k_one:
-        interval = SearchInterval(k_cap, k_one, open_hi=True)
-        kappa, value = maximize_scalar(obj, interval, settings.optimizer)
-    else:  # rho_max is within rounding of 1
-        kappa, value = k_cap, obj(k_cap)
-    # maximize_scalar returns the exact grid end when no probe beats it.
-    capped = kappa == k_cap
+    kappa = k_cap = _kappa_at_rho(r, settings.rho_max)
+    capped = R <= _rate(k_cap)[0]
+    if not capped:
+        kappa = k_one = _kappa_at_rho(r, 1.0)
+        if R < _rate(k_one)[0]:
+            # Newton steps from the right of a convex root do not overshoot.
+            kappa = newton_root(lambda k: _rate(k, R), k_cap, k_one, k_one)
     _, _, lam, _, g, sigma = _chain(kappa)
+    ell = math.log(1.0 / lam)
     # Near rho = 1, lam is near 1 and log(1 / lam) keeps only ~1e-11 of
     # relative accuracy, so rounding can push rho just outside (1, rho_max].
-    rho = min(max(r * math.log(1.0 / lam) / g, math.nextafter(1.0, 2.0)),
-              settings.rho_max)
+    rho = min(max(r * ell / g, math.nextafter(1.0, 2.0)), settings.rho_max)
     witness = ExParams(kappa=kappa, sigma=sigma, lam=lam,
                        rho=settings.rho_max if capped else rho)
-    return ExExponentPoint(R=R, E=max(value, 0.0), argmax=witness,
-                           rho_capped=capped)
+    return ExExponentPoint(R=R, E=max(r * ell * (1.0 - R / g), 0.0),
+                           argmax=witness, rho_capped=capped)

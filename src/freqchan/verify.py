@@ -19,8 +19,8 @@ from .channel import (Codebook, SimConfig, dirichlet_product_moment,
                       estimate_kl_tail, estimate_product_moment,
                       kl_divergence, ml_decode, sample_dirichlet,
                       sample_multinomial)
-from .ex_bounds import (MEAN_ABS_XY, ExSettings, ex_exponent, f_kappa, g_fn,
-                 j_fn, l_fn, s_fn)
+from .ex_bounds import (MEAN_ABS_XY, ex_exponent, f_kappa, g_fn, j_fn, l_fn,
+                 s_fn)
 from .rc_bounds import (BoundQuery, RcSettings, delta_fn, lambda_fn,
                  lemma1_tail_bound, rate_lower_bound, rc_exponent)
 from .special_fn import log_gamma, psi_fn, zeta
@@ -98,7 +98,6 @@ def _suite_rc(seed: int) -> list[Check]:
 
 def _suite_ex(seed: int) -> list[Check]:
     checks: list[Check] = []
-    settings = ExSettings()
 
     f0 = f_kappa(0.0)
     ok = _close(f0, 1.0, 1e-9)
@@ -125,8 +124,8 @@ def _suite_ex(seed: int) -> list[Check]:
     checks.append(("expurgation tradeoff decreasing in rho", ok,
                    f"S(400,1000)={s_lo:.9g}"))
 
-    pt0 = ex_exponent(BoundQuery(R=0.0, r=400.0), settings)
-    pt1 = ex_exponent(BoundQuery(R=0.014, r=400.0), settings)
+    pt0 = ex_exponent(BoundQuery(R=0.0, r=400.0))
+    pt1 = ex_exponent(BoundQuery(R=0.014, r=400.0))
     ok = (pt0.rho_capped and pt0.E > pt1.E >= 0.0 and not pt1.rho_capped)
     checks.append(("expurgated exponent capped at zero rate only", ok,
                    f"E(0)={pt0.E:.6g} E(0.014)={pt1.E:.6g}"))

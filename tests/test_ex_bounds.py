@@ -80,6 +80,31 @@ def _kappa_point(kappa: float, r: float) -> tuple[float, float, float, float]:
     return x, g, lam, r * math.log(1.0 / lam) / g
 
 
+def _kappa_of_rho(r: float, rho: float) -> float:
+    """kappa with rho(kappa) = rho on the independent route; rho falls
+    from +inf near kappa = 0 to 0 at lam(kappa) = 1."""
+    top = scipy.optimize.brentq(lambda k: _kappa_point(k, 1.0)[2] - 1.0,
+                                0.19, 0.2, xtol=1e-16)
+    return scipy.optimize.brentq(lambda k: _kappa_point(k, r)[3] - rho,
+                                 1e-4, top, xtol=1e-16, rtol=1e-15)
+
+
+def _envelope_rate(kappa: float, r: float) -> float:
+    """The rate R = G + rho G' / rho' at which the line rho(kappa) (G(kappa)
+    - R) touches the exponent, with G' and rho' from five-point stencils
+    of the independent route at step 3e-4 kappa (~2e-11 relative for
+    kappa >= 0.05)."""
+    h = 3e-4 * kappa
+    side = [_kappa_point(kappa + k * h, r) for k in (-2, -1, 1, 2)]
+
+    def slope(i: int) -> float:
+        return (side[0][i] - 8.0 * side[1][i] + 8.0 * side[2][i]
+                - side[3][i]) / (12.0 * h)
+
+    _, g, _, rho = _kappa_point(kappa, r)
+    return g + rho * slope(1) / slope(3)
+
+
 def _two_j(sigma: float, u: float) -> float:
     """2 J(sigma) = sigma - log sigma - 1 with u = 1 - sigma, summed as
     u^2 / 2 + u^3 / 3 + ... while u < 1/2, where the closed form cancels."""
@@ -333,3 +358,99 @@ class TestExExponent:
             ExParams(kappa=0.5, sigma=0.5, lam=0.5, rho=1.0)
         with pytest.raises(ValueError):
             ExSettings(rho_max=1.0)
+
+
+class TestRateRoot:
+    """ex_exponent solves R(kappa) = R: rho (G - R) rises in kappa while
+    R(kappa) < R and falls after, so the root is the argmax."""
+
+    RATIOS = (4.0, 100.0, 400.0, 2000.0)
+
+    def test_rate_increasing_and_convex(self):
+        top = _kappa_of_rho(2000.0, 1.0)  # the largest kappa(1) here
+        kappas = np.geomspace(1e-4, top, 4000)
+        rates, slopes = np.array([ex_bounds._rate(float(k)) for k in kappas]).T
+        assert rates[0] > 0.0
+        assert np.all(np.diff(rates) > 0.0)
+        assert np.all(slopes > 0.0) and np.all(np.diff(slopes) > 0.0)
+
+    def test_slope_matches_central_difference(self):
+        for kappa in (1e-3, 0.01, 0.05, 0.1, 0.15, 0.19):
+            h = 1e-6 * kappa
+            diff = (ex_bounds._rate(kappa + h)[0]
+                    - ex_bounds._rate(kappa - h)[0]) / (2.0 * h)
+            assert ex_bounds._rate(kappa)[1] == pytest.approx(diff, rel=1e-6)
+
+    def test_rate_is_the_envelope_at_every_ratio(self):
+        # The touching point of rho (G - R) computed at each r from the
+        # independent route is one r-free function of kappa.
+        for kappa in (0.05, 0.08, 0.12, 0.16, 0.19):
+            want = ex_bounds._rate(kappa)[0]
+            for r in self.RATIOS:
+                assert _envelope_rate(kappa, r) == pytest.approx(want,
+                                                                 rel=1e-9)
+
+    @pytest.mark.parametrize("rho_max", [2.0, 100.0, 1000.0])
+    def test_matches_dense_kappa_scan(self, rho_max):
+        for r in self.RATIOS:
+            k_cap, k_one = _kappa_of_rho(r, rho_max), _kappa_of_rho(r, 1.0)
+            r_cap, r_one = (_envelope_rate(k, r) for k in (k_cap, k_one))
+            s_one = _kappa_point(k_one, r)[1]
+            # Every branch: capped, interior root, the rho = 1 end with
+            # E > 0, and E = 0.
+            rates = (0.0, 0.5 * r_cap, 0.9 * r_cap + 0.1 * r_one,
+                     0.5 * (r_cap + r_one), 0.1 * r_cap + 0.9 * r_one,
+                     0.5 * (r_one + s_one), 1.5 * s_one)
+            kappas = np.linspace(k_cap, k_one, 2001)
+            points = [_kappa_point(float(k), r) for k in kappas]
+
+            def scan(R: float) -> tuple[float, bool]:
+                """(E, argmax at the rho_max end): the best grid point,
+                polished on its two cells by a bounded search."""
+
+                def loss(kappa: float) -> float:
+                    _, g, _, rho = _kappa_point(kappa, r)
+                    return -rho * (g - R)
+
+                vals = [rho * (g - R) for _, g, _, rho in points]
+                i = int(np.argmax(vals))
+                lo, hi = kappas[max(i - 1, 0)], kappas[min(i + 1, 2000)]
+                res = scipy.optimize.minimize_scalar(
+                    loss, bounds=(lo, hi), method="bounded",
+                    options={"xatol": 1e-13})
+                return max(vals[i], -res.fun, 0.0), i == 0
+
+            for R in rates:
+                pt = ex_exponent(BoundQuery(R=R, r=r),
+                                 ExSettings(rho_max=rho_max))
+                want, capped = scan(R)
+                assert pt.E == pytest.approx(want, rel=1e-9, abs=1e-12)
+                assert pt.rho_capped == capped
+                kappa = pt.argmax.kappa
+                if r_cap < R < r_one:
+                    assert k_cap < kappa < k_one
+                    assert _envelope_rate(kappa, r) == pytest.approx(
+                        R, rel=1e-10)
+                elif R >= r_one:
+                    assert kappa == pytest.approx(k_one, rel=1e-12)
+                    assert pt.E == pytest.approx(max(s_one - R, 0.0),
+                                                 rel=1e-9, abs=1e-12)
+
+    def test_chain_calls_per_rate(self, monkeypatch):
+        # Two rho solves and one Newton root; a bisection-only root takes
+        # ~40 chain calls, the 512-point kappa scan it replaces 544.
+        chain = ex_bounds._chain
+        calls = []
+
+        def counted(kappa):
+            calls[-1] += 1
+            return chain(kappa)
+
+        monkeypatch.setattr(ex_bounds, "_chain", counted)
+        for r in self.RATIOS:
+            calls.clear()
+            for R in np.linspace(0.0, 0.02, 81):
+                calls.append(0)
+                ex_exponent(BoundQuery(R=float(R), r=r))
+            assert max(calls) <= 30
+            assert np.median(calls) <= 20
