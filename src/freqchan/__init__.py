@@ -14,7 +14,6 @@ from .channel import (
     MomentReport,
     SampleCounts,
     SimConfig,
-    SimplexPoint,
     SimReport,
     TailReport,
     dirichlet_product_moment,
@@ -24,8 +23,6 @@ from .channel import (
     estimate_product_moment,
     kl_divergence,
     ml_decode,
-    sample_dirichlet,
-    sample_multinomial,
 )
 from .ex_bounds import (
     ExExponentPoint,
@@ -50,7 +47,6 @@ from .rc_bounds import (
     ExponentPoint,
     KlTailBound,
     RcParams,
-    RcSettings,
     chernoff_pairwise_bound,
     delta_fn,
     lambda_fn,
@@ -61,4 +57,4 @@ from .rc_bounds import (
 )
 from .special_fn import log_gamma, psi_fn, zeta
 
-__version__ = "0.1.6"
+__version__ = "0.1.7"

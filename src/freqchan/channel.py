@@ -22,7 +22,7 @@ import numpy as np
 import numpy.random  # noqa: F401  at import, not lazily at the first draw
 
 from .ex_bounds import l_fn
-from .rc_bounds import BoundQuery, KlTailBound, RcSettings, lemma1_tail_bound, thm1_probability_bound
+from .rc_bounds import BoundQuery, KlTailBound, lemma1_tail_bound, thm1_probability_bound
 from .special_fn import log_gamma
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "SampleCounts",
     "SimConfig",
     "SimReport",
-    "SimplexPoint",
     "dirichlet_product_moment",
     "estimate_bc_tail",
     "estimate_error_probability",
@@ -41,8 +40,6 @@ __all__ = [
     "estimate_product_moment",
     "kl_divergence",
     "ml_decode",
-    "sample_dirichlet",
-    "sample_multinomial",
 ]
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -87,26 +84,6 @@ def _chunk_sizes(total: int, chunk: int = _CHUNK) -> list[int]:
     if total % chunk:
         sizes.append(total % chunk)
     return sizes
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A probability vector; entries sum to 1 within 1e-12."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size < 1:
-            raise ValueError("probs must be a nonempty 1-D vector")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be finite and nonnegative")
-        if abs(float(probs.sum()) - 1.0) > _SIMPLEX_ATOL:
-            raise ValueError("probs must sum to 1 within 1e-12")
-        object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return int(self.probs.size)
 
 
 @dataclass(frozen=True)
@@ -296,28 +273,7 @@ def _dirichlet(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
     return _to_simplex(*_gamma_draws(rng, alpha, size))
 
 
-def sample_dirichlet(n: int, alpha: float,
-                     rng: np.random.Generator) -> SimplexPoint:
-    """A symmetric Dirichlet(alpha) point on the n-simplex via gamma draws."""
-    if n < 1:
-        raise ValueError(f"n must be a positive count, got {n}")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return SimplexPoint(_dirichlet(rng, alpha, n))
-
-
-def sample_multinomial(p: SimplexPoint, trials: int,
-                       rng: np.random.Generator) -> SampleCounts:
-    """Counts of ``trials`` independent draws from ``p``."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    counts = rng.multinomial(trials, p.probs)
-    return SampleCounts(counts=counts, trials=trials)
-
-
 def _as_pmf(x) -> np.ndarray:
-    if isinstance(x, SimplexPoint):
-        return x.probs
     if isinstance(x, SampleCounts):
         return x.empirical
     arr = np.asarray(x, dtype=np.float64)
@@ -362,8 +318,8 @@ def _rel_entr_sum(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 def kl_divergence(q, p) -> float:
     """D(q || p) in nats with 0 log 0 = 0; +inf when q charges a p-null type.
 
-    Both arguments may be SimplexPoints, SampleCounts (read as empirical
-    frequencies) or plain probability vectors.
+    Both arguments may be SampleCounts (read as empirical frequencies)
+    or plain probability vectors.
     """
     qv = _as_pmf(q)
     pv = _as_pmf(p)
@@ -439,8 +395,7 @@ def _error_chunk(args) -> int:
     return int(np.count_nonzero(_decode(counts, log_codewords) != messages))
 
 
-def estimate_error_probability(config: SimConfig,
-                               settings: RcSettings | None = None) -> SimReport:
+def estimate_error_probability(config: SimConfig) -> SimReport:
     """Simulate the channel and report the error frequency.
 
     Each trial draws a fresh codebook (unless ``fresh_codebook`` is
@@ -471,7 +426,7 @@ def estimate_error_probability(config: SimConfig,
         trials=config.trials,
         eps_hat=eps_hat,
         wilson_ci=_wilson_ci(errors, config.trials),
-        thm1_bound=thm1_probability_bound(query, settings),
+        thm1_bound=thm1_probability_bound(query),
     )
 
 
@@ -485,8 +440,7 @@ def _kl_tail_chunk(args) -> int:
 
 
 def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
-                     seed: int, parallelism: int = 1,
-                     settings: RcSettings | None = None) -> TailReport:
+                     seed: int, parallelism: int = 1) -> TailReport:
     """Empirical frequency of D(empirical || p) >= rho_n over fresh
     Dirichlet(alpha) points p, next to its analytic ceiling."""
     if trials < 1:
@@ -494,7 +448,7 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
     reads = n * r
     if abs(reads - round(reads)) > 1e-9:
         raise ValueError(f"n * r must be integral, got {reads}")
-    tail: KlTailBound = lemma1_tail_bound(n, r, mu, settings)
+    tail: KlTailBound = lemma1_tail_bound(n, r, mu)
     jobs = [
         (seed, n, int(round(reads)), alpha, tail.rho_n, i, size)
         for i, size in enumerate(_chunk_sizes(trials))

@@ -23,7 +23,7 @@ from . import __version__
 from .baselines import FirQuery, converse_rate, fir_rate
 from .channel import SimConfig, estimate_error_probability
 from .ex_bounds import ExSettings, ex_exponent
-from .rc_bounds import BoundQuery, RcSettings, rc_exponent, rate_lower_bound
+from .rc_bounds import BoundQuery, rc_exponent, rate_lower_bound
 
 __all__ = ["RunManifest", "main", "console",
            "cmd_exponents", "cmd_rates", "cmd_simulate", "cmd_verify"]
@@ -167,7 +167,6 @@ def cmd_exponents(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.rho_max) and args.rho_max > 1.0):
         raise UsageError(f"--rho-max must be finite and exceed 1, "
                          f"got {args.rho_max}")
-    rc_settings = RcSettings()
     ex_settings = ExSettings(rho_max=args.rho_max)
 
     lines = [_CSV_HEADER]
@@ -175,7 +174,7 @@ def cmd_exponents(args: argparse.Namespace) -> int:
     for rate in rates:
         cells = [_fmt(rate), "", "", "", "", "", ""]
         if args.which in ("rc", "both"):
-            pt = rc_exponent(BoundQuery(R=rate, r=args.r), rc_settings)
+            pt = rc_exponent(BoundQuery(R=rate, r=args.r))
             cells[1] = _fmt(pt.E)
             cells[3] = _fmt(pt.argmax.alpha)
             cells[4] = _fmt(pt.argmax.xi)
@@ -217,9 +216,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
     header = ["r", "R_LB", "converse"] + [f"fir_g{g:g}" for g in budgets]
     lines = [",".join(header)]
     gnuplot_lines = []
-    settings = RcSettings()
     for r in r_values:
-        row = [_fmt(r), _fmt(rate_lower_bound(r, settings)),
+        row = [_fmt(r), _fmt(rate_lower_bound(r)),
                _fmt(converse_rate(r))]
         row += [_fmt(fir_rate(FirQuery(g=g, r=r))) for g in budgets]
         lines.append(",".join(row))

@@ -19,13 +19,15 @@ parametric form (Information Theory and Reliable Communication, 1968,
 ch. 5): E = A'(xi) at the one xi in (0, xi_LB) where
 A - (1 + xi) A' = R, an increasing function of xi, so each R < R_LB
 takes one Newton root solve and E = 0 from R_LB on.
+Delta's q-infimum is the one numerical search left: one golden search
+on a bracket grown by doubling, with nothing to configure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .optimize import (OptimizerSettings, SearchInterval, minimize_scalar,
                        newton_root)
@@ -36,7 +38,6 @@ __all__ = [
     "ExponentPoint",
     "KlTailBound",
     "RcParams",
-    "RcSettings",
     "chernoff_pairwise_bound",
     "delta_fn",
     "lambda_fn",
@@ -48,6 +49,10 @@ __all__ = [
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
+# Delta's search: a 3-point grid and the golden polish on a bracket whose
+# end doubles from q = 4 at most _DELTA_DOUBLINGS times.
+_DELTA_SEARCH = OptimizerSettings(coarse_points=3)
+_DELTA_DOUBLINGS = 16
 
 
 @dataclass(frozen=True)
@@ -66,14 +71,7 @@ class RcParams:
 
 @dataclass(frozen=True)
 class RcSettings:
-    """Search configuration for Delta's q-infimum.
-
-    ``q_interval`` of None means the default (2, max(400, 4 r)] domain,
-    resolved per query inside ``delta_fn``.
-    """
-
-    q_interval: SearchInterval | None = None
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
+    """No settings remain; kept importable for the acceptance tests."""
 
 
 @dataclass(frozen=True)
@@ -142,25 +140,33 @@ def _delta_objective(q: float, r: float) -> float:
     return (1.0 - 1.0 / q) * psi_fn(r) + math.log1p(correction) / q
 
 
-def delta_fn(r: float, settings: RcSettings | None = None) -> float:
+def delta_fn(r: float) -> float:
     """inf over q > 2 of (1 - 1/q) Psi(r) + (1/q) log(1 + (2 pi)^(-q/2) zeta(q/2)).
 
-    The infimum is approached numerically on (2, max(400, 4 r)] unless
-    the settings provide an explicit interval.  Results are memoized per
-    (r, settings); the value never exceeds Psi(r), the q -> inf limit.
+    The objective h is unimodal in q.  hi doubles from 4 until
+    h(2 hi) >= h(hi), which puts the minimizer in (2, 2 hi]; one golden
+    search there gives the value.  The bracket is closed by q = 2048 at
+    the latest: once the zeta term underflows (q ~ 810), h = (1 - 1/q)
+    Psi(r) only grows.  Results are memoized per r; the value never
+    exceeds Psi(r), the q -> inf limit.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
-    return _delta_cached(float(r), settings or RcSettings())
+    return _delta_cached(float(r))
 
 
 @functools.lru_cache(maxsize=4096)
-def _delta_cached(r: float, settings: RcSettings) -> float:
-    interval = settings.q_interval or SearchInterval(
-        2.0, max(400.0, 4.0 * r), open_lo=True)
-    _, value = minimize_scalar(
-        lambda q: _delta_objective(q, r), interval, settings.optimizer)
-    return value
+def _delta_cached(r: float) -> float:
+    hi, h_hi = 4.0, _delta_objective(4.0, r)
+    for _ in range(_DELTA_DOUBLINGS):
+        h_next = _delta_objective(2.0 * hi, r)
+        if h_next >= h_hi:
+            _, value = minimize_scalar(
+                lambda q: _delta_objective(q, r),
+                SearchInterval(2.0, 2.0 * hi, open_lo=True), _DELTA_SEARCH)
+            return value
+        hi, h_hi = 2.0 * hi, h_next
+    raise ArithmeticError(f"no bracket for Delta's q-infimum at r = {r}")
 
 
 def _r_lb(r: float, delta: float) -> float:
@@ -168,8 +174,7 @@ def _r_lb(r: float, delta: float) -> float:
     return -0.5 * math.log(-2.0 * math.expm1(-delta / r))
 
 
-def rc_exponent(query: BoundQuery,
-                settings: RcSettings | None = None) -> ExponentPoint:
+def rc_exponent(query: BoundQuery) -> ExponentPoint:
     """Random-coding exponent at (R, r).
 
     The inner supremum over mu > 0 of min([A - xi mu]_+, mu) with
@@ -179,7 +184,7 @@ def rc_exponent(query: BoundQuery,
     of A - (1 + xi) A' = R; from R_LB on, E = 0 and xi = xi_LB.
     """
     r, rate = float(query.r), query.R
-    delta = delta_fn(r, settings)
+    delta = delta_fn(r)
     xi_lb = 0.5 / (r * math.expm1(delta / r))  # A'(xi_LB) = 0
     if rate >= _r_lb(r, delta):
         return ExponentPoint(R=rate, E=0.0, argmax=RcParams(0.5, xi_lb))
@@ -197,25 +202,24 @@ def rc_exponent(query: BoundQuery,
                          argmax=RcParams(0.5, xi))
 
 
-def rate_lower_bound(r: float, settings: RcSettings | None = None) -> float:
+def rate_lower_bound(r: float) -> float:
     """sup over alpha > 1/2, xi > 0 of Lambda(r, alpha, xi) - xi Delta(r),
     which is -log(2 (1 - exp(-Delta/r)))/2.
 
     The value is in nats and never exceeds the converse rate log(r)/2;
     for very small r it can be negative (a vacuous but valid bound).
     """
-    return _r_lb(r, delta_fn(r, settings))
+    return _r_lb(r, delta_fn(r))
 
 
-def thm1_probability_bound(query: BoundQuery,
-                           settings: RcSettings | None = None) -> float:
+def thm1_probability_bound(query: BoundQuery) -> float:
     """2 sqrt(2 pi e n r) exp(-n E(R, r)), the ensemble error ceiling.
 
     Values above 1 are returned as-is (the bound is then vacuous).
     """
     if query.n is None:
         raise ValueError("thm1_probability_bound needs a block length n")
-    point = rc_exponent(query, settings)
+    point = rc_exponent(query)
     log_bound = (
         math.log(2.0)
         + 0.5 * (1.0 + _LOG_2PI + math.log(query.n * query.r))
@@ -224,8 +228,7 @@ def thm1_probability_bound(query: BoundQuery,
     return math.exp(log_bound)
 
 
-def lemma1_tail_bound(n: int, r: float, mu: float,
-                      settings: RcSettings | None = None) -> KlTailBound:
+def lemma1_tail_bound(n: int, r: float, mu: float) -> KlTailBound:
     """Ceiling sqrt(2 pi e n r) exp(-n mu) on the divergence tail.
 
     The tail event is D(empirical || p) >= rho_n with threshold
@@ -237,7 +240,7 @@ def lemma1_tail_bound(n: int, r: float, mu: float,
         raise ValueError(f"r must be positive, got {r}")
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be positive, got {mu}")
-    delta = delta_fn(r, settings or RcSettings())
+    delta = delta_fn(r)
     log_bound = 0.5 * (1.0 + _LOG_2PI + math.log(n * r)) - n * mu
     return KlTailBound(bound=math.exp(log_bound), rho_n=(delta + mu) / r)
 

@@ -78,12 +78,16 @@ def zeta(s: float) -> float:
 def psi_fn(t: float) -> float:
     """(1 + t) log(1 + t) - t log t for t >= 0, continuous at 0.
 
-    This arrangement avoids the cancellation that the equivalent form
-    log(1 + t) + t log(1 + 1/t) suffers for large t.
+    From t = 1 on it is evaluated as log(1 + t) + t log(1 + 1/t), a sum
+    of two positive terms; the form above cancels there, to 100% error
+    at t = 1e16.  Below 1 the form above is kept, since 1/t overflows
+    for subnormal t.
     """
     t = _checked("t", t)
     if t < 0.0:
         raise ValueError(f"psi_fn requires t >= 0, got {t}")
+    if t >= 1.0:
+        return math.log1p(t) + t * math.log1p(1.0 / t)
     if t == 0.0:
         return 0.0
     return (1.0 + t) * math.log1p(t) - t * math.log(t)

@@ -14,15 +14,14 @@ import math
 import numpy as np
 
 from .baselines import FirQuery, converse_rate, fir_rate
-from .channel import (Codebook, SimConfig, dirichlet_product_moment,
-                      estimate_bc_tail, estimate_error_probability,
-                      estimate_kl_tail, estimate_product_moment,
-                      kl_divergence, ml_decode, sample_dirichlet,
-                      sample_multinomial)
+from .channel import (Codebook, SampleCounts, SimConfig, _dirichlet,
+                      dirichlet_product_moment, estimate_bc_tail,
+                      estimate_error_probability, estimate_kl_tail,
+                      estimate_product_moment, kl_divergence, ml_decode)
 from .ex_bounds import (MEAN_ABS_XY, ex_exponent, f_kappa, g_fn, j_fn, l_fn,
                  s_fn)
-from .rc_bounds import (BoundQuery, RcSettings, delta_fn, lambda_fn,
-                 lemma1_tail_bound, rate_lower_bound, rc_exponent)
+from .rc_bounds import (BoundQuery, delta_fn, lambda_fn, lemma1_tail_bound,
+                 rate_lower_bound, rc_exponent)
 from .special_fn import log_gamma, psi_fn, zeta
 
 __all__ = ["run_suites", "SUITES"]
@@ -58,7 +57,6 @@ def _suite_special(seed: int) -> list[Check]:
 
 def _suite_rc(seed: int) -> list[Check]:
     checks: list[Check] = []
-    settings = RcSettings()
 
     got = lambda_fn(3.0, 0.5, 0.0)
     ok = _close(got, -0.5 * math.log(2.0), 1e-12)
@@ -68,28 +66,28 @@ def _suite_rc(seed: int) -> list[Check]:
                    f"alpha=1/2 edge gives {got:.12g}"))
 
     rs = (1.0, 10.0, 100.0, 400.0, 2000.0)
-    deltas = [delta_fn(r, settings) for r in rs]
+    deltas = [delta_fn(r) for r in rs]
     ok = all(0.0 < d < psi_fn(r) for d, r in zip(deltas, rs))
     ok = ok and all(a < b for a, b in zip(deltas, deltas[1:]))
     checks.append(("delta_fn below psi_fn and increasing", ok,
                    f"delta(400)={deltas[3]:.9g}"))
 
-    rlb = rate_lower_bound(400.0, settings)
+    rlb = rate_lower_bound(400.0)
     ok = 1.90 <= rlb <= 1.96
     checks.append(("rate lower bound near r=400 anchor", ok,
                    f"R_LB(400)={rlb:.9g}"))
 
-    ok = all(rate_lower_bound(r, settings) < converse_rate(r)
+    ok = all(rate_lower_bound(r) < converse_rate(r)
              for r in (10.0, 100.0, 400.0))
     checks.append(("lower bound under the converse", ok, "r in {10,100,400}"))
 
-    es = [rc_exponent(BoundQuery(R=R, r=400.0), settings).E
+    es = [rc_exponent(BoundQuery(R=R, r=400.0)).E
           for R in (0.0, 0.5, 1.0, 1.5, 2.5)]
     ok = all(a >= b for a, b in zip(es, es[1:])) and es[0] > 0 and es[-1] == 0
     checks.append(("random-coding exponent decreasing, zero past R_LB", ok,
                    f"E(0)={es[0]:.6g} E(2.5)={es[-1]:.6g}"))
 
-    tail = lemma1_tail_bound(100, 4.0, 0.1, settings)
+    tail = lemma1_tail_bound(100, 4.0, 0.1)
     ok = 0.0 < tail.bound < 1.0 and tail.rho_n > 0.0
     checks.append(("divergence tail bound sane", ok,
                    f"bound={tail.bound:.6g} rho_n={tail.rho_n:.6g}"))
@@ -136,7 +134,7 @@ def _suite_channel(seed: int) -> list[Check]:
     checks: list[Check] = []
 
     rng = np.random.default_rng(seed)
-    rows = np.stack([sample_dirichlet(6, 0.5, rng).probs for _ in range(8)])
+    rows = np.stack([_dirichlet(rng, 0.5, 6) for _ in range(8)])
     cb = Codebook(codewords=rows, alpha=0.5, seed=seed)
     sums = cb.codewords.sum(axis=1)
     ok = (cb.codewords.shape == (8, 6) and np.all(cb.codewords >= 0.0)
@@ -145,8 +143,8 @@ def _suite_channel(seed: int) -> list[Check]:
 
     ok = True
     for _ in range(50):
-        point = sample_dirichlet(6, 0.5, rng)
-        counts = sample_multinomial(point, trials=24, rng=rng)
+        counts = SampleCounts(rng.multinomial(24, _dirichlet(rng, 0.5, 6)),
+                              trials=24)
         ml = ml_decode(counts, cb)
         kls = [kl_divergence(counts, cb.codewords[i]) for i in range(cb.m)]
         ok = ok and ml == int(np.argmin(kls))

@@ -8,21 +8,22 @@ import scipy.special
 from freqchan import channel
 from freqchan.channel import (BcTailReport, Codebook, DecodeError,
                               MomentReport, SampleCounts, SimConfig,
-                              SimReport, SimplexPoint, TailReport,
+                              SimReport, TailReport,
                               dirichlet_product_moment,
                               estimate_bc_tail, estimate_error_probability,
                               estimate_kl_tail, estimate_product_moment,
-                              kl_divergence, ml_decode, sample_dirichlet,
-                              sample_multinomial, wilson_std_err)
+                              kl_divergence, ml_decode, wilson_std_err)
 
 # High-precision reference values (40-digit arithmetic, rounded).
 KL_34_12 = 0.13081203594113695913
 
 
 class TestSimplexTypes:
+    # Plain probability vectors are checked where they are read, by
+    # kl_divergence.
     def test_simplex_point_accepts_valid(self):
-        p = SimplexPoint(np.array([0.25, 0.75]))
-        assert len(p) == 2
+        p = np.full(10, 0.1)  # sums to 1 - 1.1e-16
+        assert kl_divergence(p, p) == 0.0
 
     @pytest.mark.parametrize("probs", [
         np.array([0.5, 0.6]), np.array([-0.1, 1.1]),
@@ -30,7 +31,9 @@ class TestSimplexTypes:
     ])
     def test_simplex_point_rejects_invalid(self, probs):
         with pytest.raises(ValueError):
-            SimplexPoint(probs)
+            kl_divergence(probs, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            kl_divergence(np.array([0.5, 0.5]), probs)
 
     def test_codebook_shape_and_rows(self):
         cw = np.array([[0.5, 0.5], [0.9, 0.1]])
@@ -55,13 +58,11 @@ class TestSimplexTypes:
 class TestSampleDirichlet:
     def test_single_type_is_deterministic(self):
         rng = np.random.default_rng(0)
-        p = sample_dirichlet(1, 0.5, rng)
-        assert p.probs.tolist() == [1.0]
+        assert channel._dirichlet(rng, 0.5, 1).tolist() == [1.0]
 
     def test_coordinate_symmetry(self):
         rng = np.random.default_rng(1)
-        draws = np.stack([sample_dirichlet(4, 0.5, rng).probs
-                          for _ in range(100_000)])
+        draws = channel._dirichlet(rng, 0.5, (100_000, 4))
         means = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(means - 0.25) <= 3.0 * se)
@@ -71,8 +72,7 @@ class TestSampleDirichlet:
         # through the boosted gamma path used below shape 1.
         rng = np.random.default_rng(2)
         alpha, n = 0.3, 3
-        draws = np.stack([sample_dirichlet(n, alpha, rng).probs
-                          for _ in range(100_000)])
+        draws = channel._dirichlet(rng, alpha, (100_000, n))
         first = draws[:, 0]
         want_sq = (alpha + 1.0) / (n * (n * alpha + 1.0))
         se = first.std(ddof=1) / math.sqrt(first.size)
@@ -81,40 +81,10 @@ class TestSampleDirichlet:
         se_sq = sq.std(ddof=1) / math.sqrt(sq.size)
         assert sq.mean() == pytest.approx(want_sq, abs=3.0 * se_sq)
 
-    def test_domain(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_dirichlet(0, 0.5, rng)
-        with pytest.raises(ValueError):
-            sample_dirichlet(2, -1.0, rng)
-
-
-class TestSampleMultinomial:
-    def test_degenerate_pmf(self):
-        rng = np.random.default_rng(0)
-        sc = sample_multinomial(SimplexPoint(np.array([1.0, 0.0, 0.0])),
-                                trials=17, rng=rng)
-        assert sc.counts.tolist() == [17, 0, 0]
-
-    def test_conservation_over_many_draws(self):
-        rng = np.random.default_rng(3)
-        p = SimplexPoint(np.array([0.2, 0.3, 0.5]))
-        for _ in range(10_000):
-            assert int(sample_multinomial(p, 6, rng).counts.sum()) == 6
-
-    def test_marginal_mean(self):
-        rng = np.random.default_rng(4)
-        p = SimplexPoint(np.full(5, 0.2))
-        counts = np.stack([sample_multinomial(p, 100, rng).counts
-                           for _ in range(20_000)])
-        first = counts[:, 0]
-        se = first.std(ddof=1) / math.sqrt(first.size)
-        assert first.mean() == pytest.approx(20.0, abs=3.0 * se)
-
 
 class TestDivergenceAndOverlap:
     def test_kl_identity_is_zero(self):
-        p = SimplexPoint(np.array([0.3, 0.7]))
+        p = np.array([0.3, 0.7])
         assert kl_divergence(p, p) == 0.0
 
     def test_kl_closed_forms(self):
@@ -169,11 +139,11 @@ class TestMlDecode:
         rng = np.random.default_rng(5)
         mismatches = 0
         for _ in range(2_000):
-            rows = np.stack([sample_dirichlet(4, 0.5, rng).probs
-                             for _ in range(6)])
+            rows = channel._dirichlet(rng, 0.5, (6, 4))
             cb = Codebook(codewords=rows, alpha=0.5, seed=0)
-            counts = sample_multinomial(
-                sample_dirichlet(4, 0.5, rng), trials=12, rng=rng)
+            counts = SampleCounts(
+                rng.multinomial(12, channel._dirichlet(rng, 0.5, 4)),
+                trials=12)
             kls = [kl_divergence(counts, rows[i]) for i in range(6)]
             mismatches += ml_decode(counts, cb) != int(np.argmin(kls))
         assert mismatches == 0
@@ -483,8 +453,7 @@ class TestTinyAlpha:
 
     def test_sample_dirichlet(self):
         rng = np.random.default_rng(1)
-        tops = [sample_dirichlet(2, 0.001, rng).probs.max()
-                for _ in range(200)]
+        tops = [channel._dirichlet(rng, 0.001, 2).max() for _ in range(200)]
         assert np.mean(np.array(tops) > 1.0 - 1e-6) > 0.9
 
     def test_error_simulation(self):

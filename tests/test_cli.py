@@ -132,6 +132,17 @@ class TestRatesCommand:
             closed = -0.5 * math.log(-2.0 * math.expm1(-delta_fn(r) / r))
             assert rlb == pytest.approx(closed, rel=1e-15)
 
+    def test_r_near_the_float_maximum(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        code = main(["rates", "--r", "1e308:1.6e308:3e307",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        lines = _read(out).strip().split("\n")
+        assert len(lines) == 4
+        for line in lines[1:]:
+            r, rlb, conv = (float(c) for c in line.split(","))
+            assert math.isfinite(rlb) and rlb < conv
+
     def test_no_budgets(self, tmp_path):
         out = tmp_path / "rates.csv"
         assert main(["rates", "--r", "10:20:10", "--out", str(out)]) == EXIT_OK

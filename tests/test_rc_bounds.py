@@ -5,9 +5,9 @@ import pytest
 import scipy.special
 
 from freqchan import rc_bounds
-from freqchan.optimize import SearchInterval, newton_root
+from freqchan.optimize import minimize_scalar, newton_root
 from freqchan.rc_bounds import (BoundQuery, ExponentPoint, KlTailBound,
-                         RcParams, RcSettings, chernoff_pairwise_bound,
+                         RcParams, chernoff_pairwise_bound,
                          delta_fn, lambda_fn, lemma1_tail_bound,
                          rate_lower_bound, rc_exponent,
                          thm1_probability_bound)
@@ -20,11 +20,14 @@ LAMBDA_10_2_03 = 0.031962933190458876302
 
 
 def _delta_grid_oracle(r: float, points: int = 40000, q_hi: float = 2000.0):
-    """Dense-grid evaluation of the q-infimum with scipy's zeta."""
-    q = np.logspace(math.log10(2.0 + 1e-9), math.log10(q_hi), points)
+    """Dense-grid evaluation of the q-infimum with scipy's zeta and Psi in
+    closed form.  The grid is logarithmic in q - 2, so it resolves the
+    minimizer, which nears 2 as r grows (q - 2 ~ 0.08 at r = 1e10)."""
+    q = 2.0 + np.logspace(-12.0, math.log10(q_hi), points)
+    psi = math.log1p(r) + r * math.log1p(1.0 / r)
     correction = np.exp(-0.5 * q * math.log(2.0 * math.pi)) \
         * scipy.special.zeta(0.5 * q, 1)
-    vals = (1.0 - 1.0 / q) * psi_fn(r) + np.log1p(correction) / q
+    vals = (1.0 - 1.0 / q) * psi + np.log1p(correction) / q
     return float(vals.min())
 
 
@@ -73,7 +76,8 @@ class TestLambdaFn:
 
 
 class TestDeltaFn:
-    @pytest.mark.parametrize("r", [0.5, 4.0, 10.0, 400.0, 2000.0])
+    @pytest.mark.parametrize("r", [1e-7, 0.03, 0.5, 4.0, 10.0, 400.0,
+                                   2000.0, 3e6, 1e7, 1e8, 1e10])
     def test_matches_dense_grid(self, r):
         got = delta_fn(r)
         want = _delta_grid_oracle(r)
@@ -89,11 +93,37 @@ class TestDeltaFn:
         vals = [delta_fn(r) for r in (1.0, 4.0, 20.0, 100.0, 400.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_custom_interval_respected(self):
-        # Restricting q to a window away from the minimizer gives a
-        # larger (worse) value, as it must for an infimum.
-        narrow = RcSettings(q_interval=SearchInterval(2.0, 4.0, open_lo=True))
-        assert delta_fn(400.0, narrow) >= delta_fn(400.0)
+    def test_tiny_r(self):
+        # The minimizer sits near q = 500 here, past any fixed interval
+        # scaled on r.
+        got = delta_fn(1e-200)
+        assert math.isfinite(got) and 0.0 < got < psi_fn(1e-200)
+        assert got == pytest.approx(_delta_grid_oracle(1e-200), rel=1e-7)
+
+    @pytest.mark.parametrize("r", [0.01, 1.0, 400.0, 1e5, 1e8])
+    def test_one_bracketed_search(self, r, monkeypatch):
+        objective, calls, searches = rc_bounds._delta_objective, [], []
+
+        def counted_objective(q, r):
+            calls.append(q)
+            return objective(q, r)
+
+        def counted_search(*args):
+            searches.append(args)
+            return minimize_scalar(*args)
+
+        monkeypatch.setattr(rc_bounds, "_delta_objective", counted_objective)
+        monkeypatch.setattr(rc_bounds, "minimize_scalar", counted_search)
+        rc_bounds._delta_cached.cache_clear()
+        delta_fn(r)
+        assert len(searches) == 1
+        assert 0 < len(calls) <= 80
+
+    def test_unbounded_descent_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(rc_bounds, "_delta_objective", lambda q, r: -q)
+        rc_bounds._delta_cached.cache_clear()
+        with pytest.raises(ArithmeticError):
+            delta_fn(3.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,16 @@ ZETA_3_2 = 2.6123753486854883433
 ZETA_1_01 = 100.57794333849687249
 PSI_400 = 6.9927135067414487779
 PSI_QUARTER = 0.62550302942273484942
+# psi_fn at large t, where (1 + t) log(1 + t) - t log t cancels: at the
+# double nearest each t.
+PSI_40_DIGITS = {
+    10.0: 3.350997070841619144501464810772780222028,
+    400.0: 6.992713506741448777943453113056621540772,
+    1e6: 14.81551105796410743752461534477288524558,
+    1e12: 28.63102111592904820821589728954570382463,
+    1e16: 37.84136148790473099428786327494982565495,
+    1e300: 691.7755278982137052579021966605136811507,
+}
 # zeta at the double nearest each s, around the s = 20 seam of the two
 # evaluation branches and near the pole.
 ZETA_40_DIGITS = {
@@ -99,6 +109,11 @@ class TestPsiFn:
         assert psi_fn(1.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
         assert psi_fn(400.0) == pytest.approx(PSI_400, rel=1e-14)
         assert psi_fn(0.25) == pytest.approx(PSI_QUARTER, rel=1e-14)
+
+    @pytest.mark.parametrize("t", sorted(PSI_40_DIGITS))
+    def test_large_t_without_cancellation(self, t):
+        assert psi_fn(t) == pytest.approx(PSI_40_DIGITS[t], rel=1e-15,
+                                          abs=0.0)
 
     def test_strictly_increasing_and_concave(self):
         grid = np.linspace(0.0, 30.0, 200)
