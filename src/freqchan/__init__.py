@@ -57,4 +57,4 @@ from .rc_bounds import (
 )
 from .special_fn import log_gamma, psi_fn, zeta
 
-__version__ = "0.1.7"
+__version__ = "0.1.8"

@@ -6,16 +6,17 @@ frequencies with the analytic ceilings they must stay under.
 
 Randomness is derived counter-style from (seed, stream tag, index), so
 every estimate is independent of how work is split across processes:
-each estimator splits its trials into chunks whose size depends only on
-the problem, gives each chunk a substream and vectorizes inside it.  The
-error-probability simulator draws a chunk's codebooks, messages and
-reads in one call each and decodes the whole chunk at once.
+one driver, ``_chunked``, splits the trials into chunks whose size depends
+only on the problem and gives each chunk a substream and a kernel that
+vectorizes inside it.  The error-probability kernel draws a chunk's
+codebooks, messages and reads in one call each and decodes them at once.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "SampleCounts",
     "SimConfig",
     "SimReport",
+    "TailReport",
     "dirichlet_product_moment",
     "estimate_bc_tail",
     "estimate_error_probability",
@@ -40,21 +42,20 @@ __all__ = [
     "estimate_product_moment",
     "kl_divergence",
     "ml_decode",
+    "wilson_std_err",
 ]
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SIMPLEX_ATOL = 1e-12
 
-# Stream tags; a fixed chunk size keeps chunked estimators independent
-# of the parallelism degree.
+# Stream tags, and the trials of one chunk.
 _STREAM_ERROR_CHUNK = 0
 _STREAM_KL_CHUNK = 1
 _STREAM_BC_CHUNK = 2
 _STREAM_FIXED_CODEBOOK = 3
 _STREAM_MOMENT_CHUNK = 4
 _CHUNK = 4096
-# Entries in the (trials, M, n) codebook array of one error-simulation
-# chunk; the chunk holds min(_CHUNK, _ERROR_CHUNK_ENTRIES // (M n)) trials.
+# Entries in the (trials, M, n) codebook array of one error-simulation chunk.
 _ERROR_CHUNK_ENTRIES = 1 << 16
 # Largest codebook a simulation may draw, in M * n entries (128 MiB of
 # float64); beyond it a config is rejected before anything is allocated.
@@ -71,19 +72,45 @@ def _substream(seed: int, tag: int, index: int) -> np.random.Generator:
 
 
 def _map(fn, jobs: list, parallelism: int) -> list:
-    """``[fn(job) for job in jobs]``, across a process pool when
-    ``parallelism`` > 1; results keep the order of ``jobs`` either way."""
-    if parallelism > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(min(parallelism, len(jobs))) as pool:
+    """``[fn(job) for job in jobs]`` on at most ``parallelism`` workers, one
+    per job and per CPU; results keep the order of ``jobs`` either way."""
+    workers = min(parallelism, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             return pool.map(fn, jobs)
     return [fn(job) for job in jobs]
 
 
-def _chunk_sizes(total: int, chunk: int = _CHUNK) -> list[int]:
-    sizes = [chunk] * (total // chunk)
-    if total % chunk:
-        sizes.append(total % chunk)
-    return sizes
+def _run_chunk(job):
+    kernel, params, seed, tag, index, size = job
+    return kernel(_substream(seed, tag, index), size, *params)
+
+
+def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
+             parallelism: int, codebook_entries: int = 0) -> list:
+    """``kernel(rng, size, *params)`` on each chunk of ``trials`` in chunk
+    order, ``rng`` being the chunk's substream (seed, tag, index).  A chunk
+    holds _CHUNK trials, and at most _ERROR_CHUNK_ENTRIES entries when each
+    trial draws ``codebook_entries``; ``parallelism`` never changes it."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if parallelism < 1:
+        raise ValueError(
+            f"parallelism must be a positive count, got {parallelism}")
+    chunk = _CHUNK
+    if codebook_entries:
+        chunk = min(_CHUNK, max(1, _ERROR_CHUNK_ENTRIES // codebook_entries))
+    jobs = [(kernel, params, seed, tag, index, min(chunk, trials - start))
+            for index, start in enumerate(range(0, trials, chunk))]
+    return _map(_run_chunk, jobs, parallelism)
+
+
+def _reads(n: int, r: float) -> int:
+    """The n * r reads of one transmission, which must be integral."""
+    reads = n * r
+    if not math.isfinite(reads) or abs(reads - round(reads)) > 1e-9:
+        raise ValueError(f"n * r must be integral, got {reads}")
+    return int(round(reads))
 
 
 @dataclass(frozen=True)
@@ -163,9 +190,7 @@ class SimConfig:
             raise ValueError(f"n must be a positive count, got {self.n}")
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be positive, got {self.r}")
-        reads = self.n * self.r
-        if abs(reads - round(reads)) > 1e-9:
-            raise ValueError(f"n * r must be integral, got {reads}")
+        _reads(self.n, self.r)
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.trials < 1:
@@ -187,7 +212,7 @@ class SimConfig:
 
     @property
     def reads(self) -> int:
-        return int(round(self.n * self.r))
+        return _reads(self.n, self.r)
 
     @property
     def resolved_m(self) -> int:
@@ -240,37 +265,30 @@ class MomentReport:
     mc_std_err: float
 
 
-def _gamma_draws(rng: np.random.Generator, alpha: float, size):
-    """Gamma(alpha, 1) draws and a function giving their logs at a mask of
-    rows.  Shapes below 1 use the boosted draw Gamma(alpha + 1) U^(1/alpha),
-    whose product can underflow to 0 for tiny alpha although its log,
-    log G + log(U) / alpha, stays finite."""
+def _dirichlet(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
+    """Symmetric Dirichlet(alpha) points along the last axis of ``size``.
+
+    Shapes below 1 use the boosted draw Gamma(alpha + 1) U^(1/alpha), whose
+    product can underflow to 0 for tiny alpha although its log,
+    log G + log(U) / alpha, stays finite.  A row whose sum underflows is
+    rebuilt from those logs, shifted by the row max, so it costs no random
+    numbers and leaves other rows as they are.
+    """
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha >= 1.0:
         g = rng.standard_gamma(alpha, size)
-        return g, lambda rows: np.log(g[rows])
+        return g / g.sum(axis=-1, keepdims=True)
     g = rng.standard_gamma(alpha + 1.0, size)
     u = rng.random(size)
-    return (g * u ** (1.0 / alpha),
-            lambda rows: np.log(g[rows]) + np.log(u[rows]) / alpha)
-
-
-def _to_simplex(draws: np.ndarray, log_draws) -> np.ndarray:
-    """``draws`` scaled to sum 1 along the last axis.  A row whose sum
-    underflows is rebuilt from the logs of the same draws, shifted by the
-    row max, so it costs no random numbers and leaves other rows as they
-    are."""
+    draws = g * u ** (1.0 / alpha)
     total = draws.sum(axis=-1, keepdims=True)
     low = total[..., 0] < np.finfo(np.float64).tiny
     if low.any():
-        logs = log_draws(low)
+        logs = np.log(g[low]) + np.log(u[low]) / alpha
         draws[low] = np.exp(logs - logs.max(axis=-1, keepdims=True))
         total[low] = draws[low].sum(axis=-1, keepdims=True)
     return draws / total
-
-
-def _dirichlet(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
-    """Symmetric Dirichlet(alpha) points along the last axis of ``size``."""
-    return _to_simplex(*_gamma_draws(rng, alpha, size))
 
 
 def _as_pmf(x) -> np.ndarray:
@@ -381,9 +399,8 @@ def wilson_std_err(errors: int, trials: int) -> float:
     return (hi - lo) / (2.0 * _WILSON_Z)
 
 
-def _error_chunk(args) -> int:
-    (seed, n, reads, alpha, m, fixed, index, size) = args
-    rng = _substream(seed, _STREAM_ERROR_CHUNK, index)
+def _error_chunk(rng: np.random.Generator, size: int, n: int, reads: int,
+                 alpha: float, m: int, fixed) -> int:
     if fixed is None:
         codewords = _dirichlet(rng, alpha, (size, m, n))
         log_codewords = _log(codewords)
@@ -410,14 +427,10 @@ def estimate_error_probability(config: SimConfig) -> SimReport:
         rng = _substream(config.seed, _STREAM_FIXED_CODEBOOK, 0)
         codewords = _dirichlet(rng, config.alpha, (m, config.n))
         fixed = (codewords, _log(codewords))
-
-    chunk = min(_CHUNK, max(1, _ERROR_CHUNK_ENTRIES // (m * config.n)))
-    jobs = [
-        (config.seed, config.n, config.reads, config.alpha, m, fixed,
-         index, size)
-        for index, size in enumerate(_chunk_sizes(config.trials, chunk))
-    ]
-    errors = sum(_map(_error_chunk, jobs, config.parallelism))
+    errors = sum(_chunked(
+        _error_chunk, _STREAM_ERROR_CHUNK, config.seed, config.trials,
+        (config.n, config.reads, config.alpha, m, fixed), config.parallelism,
+        codebook_entries=m * config.n))
 
     eps_hat = errors / config.trials
     query = BoundQuery(R=config.resolved_rate, r=config.r, n=config.n)
@@ -430,9 +443,8 @@ def estimate_error_probability(config: SimConfig) -> SimReport:
     )
 
 
-def _kl_tail_chunk(args) -> int:
-    (seed, n, reads, alpha, rho_n, index, size) = args
-    rng = _substream(seed, _STREAM_KL_CHUNK, index)
+def _kl_tail_chunk(rng: np.random.Generator, size: int, n: int, reads: int,
+                   alpha: float, rho_n: float) -> int:
     p = _dirichlet(rng, alpha, (size, n))
     counts = rng.multinomial(reads, p)
     div = _rel_entr_sum(counts / reads, p)
@@ -443,24 +455,16 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
                      seed: int, parallelism: int = 1) -> TailReport:
     """Empirical frequency of D(empirical || p) >= rho_n over fresh
     Dirichlet(alpha) points p, next to its analytic ceiling."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    reads = n * r
-    if abs(reads - round(reads)) > 1e-9:
-        raise ValueError(f"n * r must be integral, got {reads}")
+    reads = _reads(n, r)
     tail: KlTailBound = lemma1_tail_bound(n, r, mu)
-    jobs = [
-        (seed, n, int(round(reads)), alpha, tail.rho_n, i, size)
-        for i, size in enumerate(_chunk_sizes(trials))
-    ]
-    exceed = sum(_map(_kl_tail_chunk, jobs, parallelism))
+    exceed = sum(_chunked(_kl_tail_chunk, _STREAM_KL_CHUNK, seed, trials,
+                          (n, reads, alpha, tail.rho_n), parallelism))
     return TailReport(mu=mu, rho_n=tail.rho_n,
                       empirical=exceed / trials, bound=tail.bound)
 
 
-def _bc_tail_chunk(args) -> int:
-    (seed, n, lam, index, size) = args
-    rng = _substream(seed, _STREAM_BC_CHUNK, index)
+def _bc_tail_chunk(rng: np.random.Generator, size: int, n: int,
+                   lam: float) -> int:
     # Dirichlet(1/2) overlap via normal vectors: sum |x_k y_k| / (|x| |y|).
     x = rng.standard_normal((size, n))
     y = rng.standard_normal((size, n))
@@ -473,16 +477,11 @@ def estimate_bc_tail(n: int, lam: float, trials: int, seed: int,
                      parallelism: int = 1) -> BcTailReport:
     """Empirical frequency of the overlap of two independent
     Dirichlet(1/2) points reaching lam, next to 4 exp(-n L(lam))."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     if n < 1:
         raise ValueError(f"n must be a positive count, got {n}")
     bound = 4.0 * math.exp(-n * l_fn(lam))
-    jobs = [
-        (seed, n, lam, i, size)
-        for i, size in enumerate(_chunk_sizes(trials))
-    ]
-    exceed = sum(_map(_bc_tail_chunk, jobs, parallelism))
+    exceed = sum(_chunked(_bc_tail_chunk, _STREAM_BC_CHUNK, seed, trials,
+                          (n, lam), parallelism))
     return BcTailReport(lam=lam, empirical=exceed / trials, bound=bound)
 
 
@@ -511,23 +510,21 @@ def dirichlet_product_moment(alphas, betas) -> float:
     return math.exp(log_val)
 
 
-def _moment_chunk(args) -> tuple[float, float]:
-    (seed, a, b, index, size) = args
-    rng = _substream(seed, _STREAM_MOMENT_CHUNK, index)
-    # Column-wise draws keep the gamma shape parameter scalar, which is
-    # the fast sampler path; order over columns is part of the stream
-    # contract.
-    cols = [_gamma_draws(rng, float(aj), size) for aj in a]
-    x = _to_simplex(np.stack([draws for draws, _ in cols], axis=1),
-                    lambda rows: np.stack([log(rows) for _, log in cols],
-                                          axis=1))
-    # sum_i b_i log x_i.  The b_i = 0 columns take the log of x_i + 1, which
-    # is finite, so they add 0 (0 log 0 = 0); log 0 = -inf in the others
-    # makes the product 0.
-    logs = np.add(x, b == 0.0)
-    with np.errstate(divide="ignore"):
-        np.log(logs, out=logs)
-    prods = np.exp(np.multiply(logs, b, out=logs).sum(axis=1))
+def _moment_chunk(rng: np.random.Generator, size: int, a: np.ndarray,
+                  b: np.ndarray) -> tuple[float, float]:
+    # Row j holds log G_j, drawn at a scalar shape (the sampler's fast path;
+    # row order is part of the stream contract) and boosted below shape 1 as
+    # in _dirichlet.  Reductions over j are then a few vector ops, and
+    # sum b_j log X_j = sum b_j log G_j - (sum b) log sum G_j cannot underflow.
+    logs = np.empty((a.size, size))
+    for j, aj in enumerate(a):
+        if aj >= 1.0:
+            logs[j] = np.log(rng.standard_gamma(aj, size))
+        else:
+            logs[j] = (np.log(rng.standard_gamma(aj + 1.0, size))
+                       + np.log(rng.random(size)) / aj)
+    logs -= logs.max(axis=0)
+    prods = np.exp(b @ logs - b.sum() * np.log(np.exp(logs).sum(axis=0)))
     return float(prods.sum()), float((prods * prods).sum())
 
 
@@ -535,22 +532,15 @@ def estimate_product_moment(alphas, betas, trials: int, seed: int,
                             parallelism: int = 1) -> MomentReport:
     """Monte Carlo check of the closed-form product moment.
 
-    Draws Dirichlet(alphas) points chunk by chunk and accumulates the
-    running sums in chunk order, so the report depends only on
-    (alphas, betas, trials, seed) and never on ``parallelism``.
+    Draws Dirichlet(alphas) points chunk by chunk and adds the chunk sums
+    exactly, so the report depends only on (alphas, betas, trials, seed)
+    and never on ``parallelism``.
     """
     a, b = _moment_arrays(alphas, betas)
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    jobs = [
-        (seed, a, b, index, size)
-        for index, size in enumerate(_chunk_sizes(trials))
-    ]
-    total = 0.0
-    total_sq = 0.0
-    for chunk_total, chunk_total_sq in _map(_moment_chunk, jobs, parallelism):
-        total += chunk_total
-        total_sq += chunk_total_sq
+    sums = _chunked(_moment_chunk, _STREAM_MOMENT_CHUNK, seed, trials,
+                    (a, b), parallelism)
+    total = math.fsum(chunk_total for chunk_total, _ in sums)
+    total_sq = math.fsum(chunk_total_sq for _, chunk_total_sq in sums)
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
     if trials > 1:

@@ -181,7 +181,10 @@ def cmd_exponents(args: argparse.Namespace) -> int:
             if args.which == "rc":
                 gnuplot_lines.append(f"{_fmt(rate)} {_fmt(pt.E)}")
         if args.which in ("ex", "both"):
-            ept = ex_exponent(BoundQuery(R=rate, r=args.r), ex_settings)
+            try:
+                ept = ex_exponent(BoundQuery(R=rate, r=args.r), ex_settings)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
             cells[2] = _fmt(ept.E)
             cells[5] = _fmt(ept.argmax.rho)
             cells[6] = "1" if ept.rho_capped else "0"

@@ -258,8 +258,15 @@ def ex_exponent(query: BoundQuery,
     of R(kappa) = R, and from R(kappa(1)) on at the rho = 1 end.  At or
     below R(kappa(rho_max)) it is the rho_max end, flagged ``rho_capped``:
     the value then depends on the configured cap, not a converged supremum.
+
+    r must lie in [1e-10, 1e10].  Above, lam at the rho = 1 end is within
+    1.5e-12 of 1 and ell = log(1 / lam) keeps under four digits (none from
+    r ~ 1e17, where lam rounds to 1); below, G at the rho_max end is a
+    difference of terms over 5e6 times its size.
     """
     R, r = query.R, query.r
+    if not 1e-10 <= r <= 1e10:
+        raise ValueError(f"r must lie in [1e-10, 1e10], got {r}")
     settings = settings or ExSettings()
     kappa = k_cap = _kappa_at_rho(r, settings.rho_max)
     capped = R <= _rate(k_cap)[0]

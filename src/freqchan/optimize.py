@@ -42,12 +42,11 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchInterval:
-    """A 1-D search domain; open endpoints are approached via an inset."""
+    """A 1-D search domain; an open lower end is approached via an inset."""
 
     lo: float
     hi: float
     open_lo: bool = False
-    open_hi: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -56,11 +55,10 @@ class SearchInterval:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
     def effective_bounds(self, margin: float) -> tuple[float, float]:
-        """Shrink open endpoints inward by ``margin`` relative to the width."""
-        span = self.hi - self.lo
-        lo = self.lo + margin * span if self.open_lo else self.lo
-        hi = self.hi - margin * span if self.open_hi else self.hi
-        return lo, hi
+        """Shrink an open lower end inward by ``margin`` of the width."""
+        if self.open_lo:
+            return self.lo + margin * (self.hi - self.lo), self.hi
+        return self.lo, self.hi
 
 
 @dataclass(frozen=True)

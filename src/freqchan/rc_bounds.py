@@ -29,8 +29,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .optimize import (OptimizerSettings, SearchInterval, minimize_scalar,
-                       newton_root)
+# perfbench/tracer.py wraps rc_bounds.maximize_scalar; unused here.
+from .optimize import (OptimizerSettings, SearchInterval, maximize_scalar,
+                       minimize_scalar, newton_root)  # noqa: F401
 from .special_fn import log_gamma, psi_fn, zeta
 
 __all__ = [

@@ -491,6 +491,7 @@ class TestTinyAlpha:
 
 class TestMap:
     def test_pool_never_larger_than_job_count(self, monkeypatch):
+        # Nor larger than the CPU count.
         sizes = []
 
         class FakePool:
@@ -507,10 +508,75 @@ class TestMap:
                 return [fn(job) for job in jobs]
 
         monkeypatch.setattr(channel.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(channel.os, "cpu_count", lambda: 4)
         assert channel._map(abs, [-1, -2, -3, -4, -5], 16) == [1, 2, 3, 4, 5]
         assert channel._map(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert channel._map(abs, [-1], 16) == [1]
-        assert sizes == [5, 2]
+        assert sizes == [4, 2]
+        for cpus in (1, None):
+            monkeypatch.setattr(channel.os, "cpu_count", lambda: cpus)
+            assert channel._map(abs, [-1, -2], 8) == [1, 2]
+        assert sizes == [4, 2]
+
+
+def _error(parallelism=1, trials=3000, alpha=0.5, fresh=True):
+    return estimate_error_probability(SimConfig(
+        n=10, r=1.0, alpha=alpha, trials=trials, seed=3, M=256,
+        parallelism=parallelism, fresh_codebook=fresh))
+
+
+def _kl_tail(parallelism=1, trials=9000, alpha=1.5):
+    return estimate_kl_tail(n=5, r=2.0, alpha=alpha, mu=0.2, trials=trials,
+                            seed=2, parallelism=parallelism)
+
+
+def _bc_tail(parallelism=1, trials=20_000):
+    return estimate_bc_tail(n=10, lam=0.9, trials=trials, seed=5,
+                            parallelism=parallelism)
+
+
+def _moment(parallelism=1, trials=9000, alpha=0.5):
+    return estimate_product_moment([alpha, 2.0], [1.5, 0.25], trials=trials,
+                                   seed=8, parallelism=parallelism)
+
+
+ESTIMATORS = {"error": _error, "kl_tail": _kl_tail, "bc_tail": _bc_tail,
+              "moment": _moment}
+
+
+class TestChunkDriver:
+    @pytest.mark.parametrize("name, key, value", [
+        (name, key, value) for name in ESTIMATORS
+        for key, value in (("parallelism", 0), ("parallelism", -3),
+                           ("trials", 0), ("trials", -1))
+    ] + [(name, "alpha", alpha) for name in ("error", "kl_tail", "moment")
+         for alpha in (0.0, -1.0, math.nan, math.inf)])
+    def test_bad_input_is_a_value_error(self, name, key, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                ESTIMATORS[name](**{key: value})
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_outputs_equal_at_parallelism_1_2_8_16(self, name):
+        # Several chunks each, so every parallelism above 1 starts a pool,
+        # capped at the CPU count.
+        reports = [ESTIMATORS[name](parallelism=p) for p in (1, 2, 8, 16)]
+        assert reports[0] == reports[1] == reports[2] == reports[3]
+
+    def test_stream_pins(self):
+        # Exact outputs recorded before the estimators shared one chunk
+        # driver; any change to a substream or to the draw order moves them.
+        assert _error(trials=2500).errors == 1423
+        assert _error(trials=2500, fresh=False).errors == 1365
+        fresh = estimate_error_probability(SimConfig(
+            n=6, r=2.0, alpha=1.7, R=0.3, trials=3000, seed=9))
+        fixed = estimate_error_probability(SimConfig(
+            n=6, r=2.0, alpha=1.7, R=0.3, trials=3000, seed=9,
+            fresh_codebook=False))
+        assert (fresh.errors, fixed.errors) == (750, 896)
+        assert _kl_tail().empirical == 26 / 9000
+        assert _bc_tail().empirical == 0.01835
 
 
 class TestReportInvariants:

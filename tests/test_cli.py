@@ -110,6 +110,13 @@ class TestExponentsCommand:
         assert code == EXIT_USAGE
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("r", ["1e-300", "1e-200", "1e20", "1e300"])
+    def test_expurgated_r_out_of_range_is_usage_error(self, tmp_path, r):
+        code = main(["exponents", "--r", r, "--rate", "0:0.01:0.01",
+                     "--which", "ex", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_path_is_io_error(self):
         code = main(["exponents", "--r", "400", "--rate", "1.5:1.6:0.1",
                      "--which", "rc", "--out", "/nonexistent-dir/x.csv"])

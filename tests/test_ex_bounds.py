@@ -351,6 +351,17 @@ class TestExExponent:
         pt = ex_exponent(BoundQuery(R=0.05, r=400.0))
         assert pt.E == 0.0
 
+    def test_r_range(self):
+        # E(0) = r log(1 / lam) at the rho_max end, from 60-digit
+        # arithmetic on the same chain; ell has ~7 digits left at r = 1e10.
+        for r, want in ((1e-10, 4.51581916233113e-11),
+                        (1e10, 14.5496234449534)):
+            got = ex_exponent(BoundQuery(R=0.0, r=r)).E
+            assert got == pytest.approx(want, rel=1e-6)
+        for r in (1e-300, 1e-200, 9.9e-11, 1.01e10, 1e20, 1e300):
+            with pytest.raises(ValueError, match="r must lie in"):
+                ex_exponent(BoundQuery(R=0.0, r=r))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ExParams(kappa=0.0, sigma=0.5, lam=0.5, rho=2.0)

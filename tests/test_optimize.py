@@ -13,10 +13,10 @@ class TestSearchInterval:
         assert iv.effective_bounds(0.01) == (1.0, 3.0)
 
     def test_open_bounds_inset_relative_to_width(self):
-        iv = SearchInterval(0.0, 10.0, open_lo=True, open_hi=True)
+        iv = SearchInterval(0.0, 10.0, open_lo=True)
         lo, hi = iv.effective_bounds(1e-3)
         assert lo == pytest.approx(0.01)
-        assert hi == pytest.approx(9.99)
+        assert hi == 10.0
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
