@@ -8,22 +8,6 @@ likelihood decoding).
 """
 
 from .baselines import FirQuery, converse_rate, fir_rate
-from .channel import (
-    BcTailReport,
-    Codebook,
-    MomentReport,
-    SampleCounts,
-    SimConfig,
-    SimReport,
-    TailReport,
-    dirichlet_product_moment,
-    estimate_bc_tail,
-    estimate_error_probability,
-    estimate_kl_tail,
-    estimate_product_moment,
-    kl_divergence,
-    ml_decode,
-)
 from .ex_bounds import (
     ExExponentPoint,
     ExParams,
@@ -58,3 +42,24 @@ from .rc_bounds import (
 from .special_fn import log_gamma, psi_fn, zeta
 
 __version__ = "0.1.8"
+
+# The Monte Carlo layer needs numpy; the bounds above do not.  Its names
+# resolve on first access (PEP 562), so importing the package for the
+# bounds alone never loads numpy.
+_CHANNEL_NAMES = (
+    "BcTailReport", "Codebook", "MomentReport", "SampleCounts", "SimConfig",
+    "SimReport", "TailReport", "dirichlet_product_moment", "estimate_bc_tail",
+    "estimate_error_probability", "estimate_kl_tail",
+    "estimate_product_moment", "kl_divergence", "ml_decode",
+)
+
+
+def __getattr__(name: str):
+    if name in _CHANNEL_NAMES:
+        from . import channel
+        return getattr(channel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_CHANNEL_NAMES))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .baselines import FirQuery, converse_rate, fir_rate
-from .channel import SimConfig, estimate_error_probability
 from .ex_bounds import ExSettings, ex_exponent
 from .rc_bounds import BoundQuery, rc_exponent, rate_lower_bound
 
@@ -245,6 +244,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .channel import SimConfig, estimate_error_probability
+
     started = time.monotonic()
     if (args.M is None) == (args.R is None):
         raise UsageError("exactly one of --M and --R is required")

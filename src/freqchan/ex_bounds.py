@@ -15,6 +15,7 @@ increasing rate R(kappa) at which rho (G - R) peaks along the path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -187,8 +188,13 @@ def _kappa_at(level: int, target: float, start: float) -> float:
     return newton_root(phi, 0.0, 1.0, start)
 
 
+@functools.lru_cache(maxsize=4096)
 def _kappa_at_rho(r: float, rho: float) -> float:
-    """kappa with rho(kappa) = rho: the root of rho G + r log lam."""
+    """kappa with rho(kappa) = rho: the root of rho G + r log lam.
+
+    Cached: ex_exponent solves the same two rho ends at every rate of a
+    sweep at one (r, rho_max).
+    """
 
     def phi(kappa: float) -> tuple[float, float]:
         _, dx, lam, dlam, g, _ = _chain(kappa)

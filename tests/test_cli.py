@@ -354,10 +354,14 @@ class TestModuleEntryPoint:
 
 
 class TestRuntimeImports:
-    """The library runs on numpy alone; scipy is a test-only reference."""
+    """The library runs on numpy alone; scipy is a test-only reference.
+
+    The bounds need no numpy at all: it loads with the Monte Carlo layer.
+    """
 
     SCRIPT = """
 import json, os, sys
+import freqchan
 from freqchan.cli import main
 out = sys.argv[1]
 codes = [
@@ -365,11 +369,16 @@ codes = [
           "--which", "both", "--out", os.path.join(out, "e.csv")]),
     main(["rates", "--r", "1:21:10", "--g", "200",
           "--out", os.path.join(out, "r.csv")]),
-    main(["simulate", "--n", "10", "--r", "2", "--M", "4", "--trials", "200",
-          "--seed", "1", "--parallelism", "1",
-          "--out", os.path.join(out, "s.csv")]),
 ]
-print(json.dumps({"codes": codes,
+try:
+    main(["--help"])
+except SystemExit as exc:
+    codes.append(exc.code)
+bounds_numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+codes.append(main(["simulate", "--n", "10", "--r", "2", "--M", "4",
+                   "--trials", "200", "--seed", "1", "--parallelism", "1",
+                   "--out", os.path.join(out, "s.csv")]))
+print(json.dumps({"codes": codes, "bounds_numpy": bounds_numpy,
                   "scipy": sorted(m for m in sys.modules
                                   if m.split(".")[0] == "scipy"),
                   "numpy.random": "numpy.random" in sys.modules}))
@@ -381,6 +390,33 @@ print(json.dumps({"codes": codes,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.strip().split("\n")[-1])
-        assert seen["codes"] == [EXIT_OK] * 3
+        assert seen["codes"] == [EXIT_OK] * 4
+        assert seen["bounds_numpy"] == []
         assert seen["scipy"] == []
         assert seen["numpy.random"]
+
+    CHANNEL_NAMES = (
+        "BcTailReport", "Codebook", "MomentReport", "SampleCounts",
+        "SimConfig", "SimReport", "TailReport", "dirichlet_product_moment",
+        "estimate_bc_tail", "estimate_error_probability", "estimate_kl_tail",
+        "estimate_product_moment", "kl_divergence", "ml_decode")
+
+    def test_channel_names_resolve_lazily(self):
+        import freqchan.channel
+        for name in self.CHANNEL_NAMES:
+            assert getattr(freqchan, name) is getattr(freqchan.channel, name)
+        assert set(self.CHANNEL_NAMES) <= set(dir(freqchan))
+        assert "rc_exponent" in dir(freqchan)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            freqchan.no_such_name
+
+    def test_from_import_in_a_fresh_process(self):
+        script = ("import sys\nimport freqchan\n"
+                  "assert 'numpy' not in sys.modules\n"
+                  "from freqchan import SimConfig\n"
+                  "print(SimConfig.__module__, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=_child_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["freqchan.channel", "True"]

@@ -465,3 +465,33 @@ class TestRateRoot:
                 ex_exponent(BoundQuery(R=float(R), r=r))
             assert max(calls) <= 30
             assert np.median(calls) <= 20
+
+    def test_rho_end_cache_is_bitwise(self, monkeypatch):
+        # The ex-curve sweep: rates on [0, 0.05] at r = 400 and on
+        # [0, 0.02] at r = 100, the same points with and without the cache.
+        queries = [BoundQuery(R=float(R), r=r)
+                   for r, top, k in ((400.0, 0.05, 45), (100.0, 0.02, 5))
+                   for R in np.linspace(0.0, top, k)]
+        ex_bounds._kappa_at_rho.cache_clear()
+        cached = [ex_exponent(q) for q in queries]
+        monkeypatch.setattr(ex_bounds, "_kappa_at_rho",
+                            ex_bounds._kappa_at_rho.__wrapped__)
+        assert [ex_exponent(q) for q in queries] == cached
+        assert any(p.rho_capped for p in cached)
+        assert any(0.0 < p.E and not p.rho_capped for p in cached)
+
+    def test_second_rate_reuses_the_rho_ends(self, monkeypatch):
+        chain = ex_bounds._chain
+        calls = []
+
+        def counted(kappa):
+            calls[-1] += 1
+            return chain(kappa)
+
+        monkeypatch.setattr(ex_bounds, "_chain", counted)
+        ex_bounds._kappa_at_rho.cache_clear()
+        for R in (0.013, 0.014):  # interior roots: both rho ends solved
+            calls.append(0)
+            pt = ex_exponent(BoundQuery(R=R, r=400.0))
+            assert pt.E > 0.0 and not pt.rho_capped
+        assert calls[1] < calls[0] / 2
