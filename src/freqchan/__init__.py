@@ -31,7 +31,6 @@ from .rc_bounds import (
     ExponentPoint,
     KlTailBound,
     RcParams,
-    chernoff_pairwise_bound,
     delta_fn,
     lambda_fn,
     lemma1_tail_bound,

@@ -60,6 +60,8 @@ _ERROR_CHUNK_ENTRIES = 1 << 16
 # Largest codebook a simulation may draw, in M * n entries (128 MiB of
 # float64); beyond it a config is rejected before anything is allocated.
 _MAX_CODEBOOK_ENTRIES = 1 << 24
+# Chunks one estimator run may take; checked before its job list is built.
+_MAX_CHUNKS = 1 << 20
 
 
 class DecodeError(RuntimeError):
@@ -100,16 +102,20 @@ def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
     chunk = _CHUNK
     if codebook_entries:
         chunk = min(_CHUNK, max(1, _ERROR_CHUNK_ENTRIES // codebook_entries))
+    if -(-trials // chunk) > _MAX_CHUNKS:
+        raise ValueError(f"{trials} trials need over {_MAX_CHUNKS} chunks")
     jobs = [(kernel, params, seed, tag, index, min(chunk, trials - start))
             for index, start in enumerate(range(0, trials, chunk))]
     return _map(_run_chunk, jobs, parallelism)
 
 
 def _reads(n: int, r: float) -> int:
-    """The n * r reads of one transmission, which must be integral."""
+    """The n * r reads of one transmission: integral, and at most 2**63 - 1."""
     reads = n * r
     if not math.isfinite(reads) or abs(reads - round(reads)) > 1e-9:
         raise ValueError(f"n * r must be integral, got {reads}")
+    if round(reads) > np.iinfo(np.int64).max:
+        raise ValueError(f"n * r = {reads:.6g} exceeds 2**63 - 1 reads")
     return int(round(reads))
 
 
@@ -195,6 +201,8 @@ class SimConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if (self.M is None) == (self.R is None):
             raise ValueError("exactly one of M and R must be given")
         if self.M is not None and self.M < 1:

@@ -6,8 +6,12 @@ curves into CSV files, ``simulate`` runs the Monte Carlo channel, and
 gets a flat key=value manifest beside it from which the exact command
 can be replayed byte-for-byte.
 
-Exit codes: 0 success, 1 verification failure, 2 I/O error, 64 usage
-error.
+The CLI checks only what is its own (the shape and size of a range, and
+which curve ``--gnuplot`` takes).  The library raises ``ValueError``
+only for input outside its documented domain, so ``main`` reports every
+``ValueError`` as ``usage error: ...`` with exit 64, before any output
+file is written.  Other exit codes: 0 success, 1 verification failure,
+2 I/O error.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ __all__ = ["RunManifest", "main", "console",
 
 _SEED_ENV = "FREQCHAN_SEED"
 _CSV_HEADER = "R,E_rc,E_ex,argmax_alpha,argmax_xi,argmax_rho,rho_capped"
+# Steps a lo:hi:step grid may span; checked before the grid is built.
+_MAX_GRID_POINTS = 1 << 20
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -36,8 +42,8 @@ EXIT_IO = 2
 EXIT_USAGE = 64
 
 
-class UsageError(Exception):
-    """Bad command line; mapped to exit code 64."""
+class UsageError(ValueError):
+    """Bad command line; like every ``ValueError``, exit code 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,8 +122,8 @@ def _fmt(x: float) -> str:
 def parse_range(text: str) -> list[float]:
     """Parse ``lo:hi:step`` into an inclusive grid.
 
-    Endpoints are included when they land within half a step; a range
-    with hi <= lo or a nonpositive step is empty and rejected.
+    Endpoints are included within half a step.  An empty range (hi <= lo
+    or step <= 0) or one of _MAX_GRID_POINTS steps or more is rejected.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -130,7 +136,10 @@ def parse_range(text: str) -> list[float]:
         raise UsageError(f"range endpoints must be finite, got {text!r}")
     if step <= 0.0 or hi <= lo:
         raise UsageError(f"empty range {text!r}")
-    count = int(math.floor((hi - lo) / step + 0.5)) + 1
+    span = (hi - lo) / step
+    if not span < _MAX_GRID_POINTS:
+        raise UsageError(f"range {text!r} has {_MAX_GRID_POINTS}+ steps")
+    count = int(math.floor(span + 0.5)) + 1
     return [lo + i * step for i in range(count)]
 
 
@@ -144,16 +153,28 @@ def _default_seed() -> int:
         raise UsageError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
-def _write_manifest(out: str, command: str, parameters: dict[str, str],
-                    seed: int | None, started: float, note: str = "") -> None:
-    manifest = RunManifest(command=command, parameters=parameters, seed=seed,
-                           wall_time_s=time.monotonic() - started, note=note)
-    manifest.write(out + ".manifest")
+def _write_outputs(args: argparse.Namespace, started: float, rows: list[str],
+                   plot_rows=(), note: str = "") -> None:
+    """Write ``--out``, the ``--gnuplot`` file if asked for, and the
+    manifest, whose ``param.*`` lines are the parsed options themselves."""
+    for path, lines in ((args.out, rows),
+                        (getattr(args, "gnuplot", None), plot_rows)):
+        if path:
+            with open(path, "w", newline="") as fh:
+                fh.write("\n".join(lines) + "\n")
+    params = {}
+    for dest, value in vars(args).items():
+        if dest in ("command", "func") or value is None:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = _fmt(value)
+        params[dest.replace("_", "-")] = str(value)
+    RunManifest(command=args.command, parameters=params,
+                seed=getattr(args, "seed", None),
+                wall_time_s=time.monotonic() - started,
+                note=note).write(args.out + ".manifest")
 
 
 def cmd_exponents(args: argparse.Namespace) -> int:
@@ -161,11 +182,6 @@ def cmd_exponents(args: argparse.Namespace) -> int:
     rates = parse_range(args.rate)
     if args.gnuplot and args.which == "both":
         raise UsageError("--gnuplot needs --which rc or ex to pick a curve")
-    if not (math.isfinite(args.r) and args.r > 0.0):
-        raise UsageError(f"--r must be finite and positive, got {args.r}")
-    if not (math.isfinite(args.rho_max) and args.rho_max > 1.0):
-        raise UsageError(f"--rho-max must be finite and exceed 1, "
-                         f"got {args.rho_max}")
     ex_settings = ExSettings(rho_max=args.rho_max)
 
     lines = [_CSV_HEADER]
@@ -180,10 +196,7 @@ def cmd_exponents(args: argparse.Namespace) -> int:
             if args.which == "rc":
                 gnuplot_lines.append(f"{_fmt(rate)} {_fmt(pt.E)}")
         if args.which in ("ex", "both"):
-            try:
-                ept = ex_exponent(BoundQuery(R=rate, r=args.r), ex_settings)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            ept = ex_exponent(BoundQuery(R=rate, r=args.r), ex_settings)
             cells[2] = _fmt(ept.E)
             cells[5] = _fmt(ept.argmax.rho)
             cells[6] = "1" if ept.rho_capped else "0"
@@ -191,16 +204,7 @@ def cmd_exponents(args: argparse.Namespace) -> int:
                 gnuplot_lines.append(f"{_fmt(rate)} {_fmt(ept.E)}")
         lines.append(",".join(cells))
 
-    _write_text(args.out, "\n".join(lines) + "\n")
-    if args.gnuplot:
-        _write_text(args.gnuplot, "\n".join(gnuplot_lines) + "\n")
-    params = {
-        "r": _fmt(args.r), "rate": args.rate, "which": args.which,
-        "rho-max": _fmt(args.rho_max), "out": args.out,
-    }
-    if args.gnuplot:
-        params["gnuplot"] = args.gnuplot
-    _write_manifest(args.out, "exponents", params, None, started)
+    _write_outputs(args, started, lines, gnuplot_lines)
     print(f"wrote {len(rates)} rows to {args.out}")
     return EXIT_OK
 
@@ -208,12 +212,7 @@ def cmd_exponents(args: argparse.Namespace) -> int:
 def cmd_rates(args: argparse.Namespace) -> int:
     started = time.monotonic()
     r_values = parse_range(args.r)
-    try:
-        budgets = [float(g) for g in args.g.split(",") if g]
-    except ValueError as exc:
-        raise UsageError(f"--g must be comma-separated numbers, got {args.g!r}") from exc
-    if any(not (math.isfinite(g) and g > 0.0) for g in budgets):
-        raise UsageError("--g entries must be positive")
+    budgets = [float(g) for g in args.g.split(",") if g]
 
     header = ["r", "R_LB", "converse"] + [f"fir_g{g:g}" for g in budgets]
     lines = [",".join(header)]
@@ -225,12 +224,6 @@ def cmd_rates(args: argparse.Namespace) -> int:
         lines.append(",".join(row))
         gnuplot_lines.append(f"{row[0]} {row[1]}")
 
-    _write_text(args.out, "\n".join(lines) + "\n")
-    if args.gnuplot:
-        _write_text(args.gnuplot, "\n".join(gnuplot_lines) + "\n")
-    params = {"r": args.r, "g": args.g, "out": args.out}
-    if args.gnuplot:
-        params["gnuplot"] = args.gnuplot
     # The finite-budget columns extrapolate away from their derivation's
     # regime (per-type budget tracking the sampling ratio); the caveat
     # travels in the manifest rather than polluting the CSV.
@@ -238,7 +231,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     if budgets:
         note = ("fir columns assume the per-type budget tracks r; "
                 "values far from the peak are extrapolations")
-    _write_manifest(args.out, "rates", params, None, started, note=note)
+    _write_outputs(args, started, lines, gnuplot_lines, note=note)
     print(f"wrote {len(r_values)} rows to {args.out}")
     return EXIT_OK
 
@@ -247,16 +240,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .channel import SimConfig, estimate_error_probability
 
     started = time.monotonic()
-    if (args.M is None) == (args.R is None):
-        raise UsageError("exactly one of --M and --R is required")
-    seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        config = SimConfig(
-            n=args.n, r=args.r, alpha=args.alpha, trials=args.trials,
-            seed=seed, M=args.M, R=args.R, parallelism=args.parallelism,
-            fresh_codebook=not args.fixed_codebook)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.seed is None:
+        args.seed = _default_seed()
+    config = SimConfig(
+        n=args.n, r=args.r, alpha=args.alpha, trials=args.trials,
+        seed=args.seed, M=args.M, R=args.R, parallelism=args.parallelism,
+        fresh_codebook=not args.fixed_codebook)
     report = estimate_error_probability(config)
 
     header = ("n,r,alpha,M,R,trials,seed,errors,eps_hat,"
@@ -264,24 +253,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     row = ",".join([
         str(config.n), _fmt(config.r), _fmt(config.alpha),
         str(config.resolved_m), _fmt(config.resolved_rate),
-        str(config.trials), str(seed), str(report.errors),
+        str(config.trials), str(config.seed), str(report.errors),
         _fmt(report.eps_hat), _fmt(report.wilson_ci[0]),
         _fmt(report.wilson_ci[1]), _fmt(report.thm1_bound),
     ])
-    _write_text(args.out, header + "\n" + row + "\n")
-
-    params = {
-        "n": str(args.n), "r": _fmt(args.r), "alpha": _fmt(args.alpha),
-        "trials": str(args.trials), "seed": str(seed),
-        "parallelism": str(args.parallelism),
-        "fixed-codebook": "true" if args.fixed_codebook else "false",
-        "out": args.out,
-    }
-    if args.M is not None:
-        params["M"] = str(args.M)
-    if args.R is not None:
-        params["R"] = _fmt(args.R)
-    _write_manifest(args.out, "simulate", params, seed, started)
+    _write_outputs(args, started, [header, row])
 
     lo, hi = report.wilson_ci
     print(f"errors {report.errors}/{report.trials}  "
@@ -369,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

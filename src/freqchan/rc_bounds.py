@@ -39,7 +39,6 @@ __all__ = [
     "ExponentPoint",
     "KlTailBound",
     "RcParams",
-    "chernoff_pairwise_bound",
     "delta_fn",
     "lambda_fn",
     "lemma1_tail_bound",
@@ -244,26 +243,3 @@ def lemma1_tail_bound(n: int, r: float, mu: float) -> KlTailBound:
     delta = delta_fn(r)
     log_bound = 0.5 * (1.0 + _LOG_2PI + math.log(n * r)) - n * mu
     return KlTailBound(bound=math.exp(log_bound), rho_n=(delta + mu) / r)
-
-
-def chernoff_pairwise_bound(p_hat_divergence: float, n: int, r: float,
-                            alpha: float, xi: float) -> float:
-    """2 sqrt(1 + 2 xi r) exp(xi n r D - n Lambda(r, alpha, xi)).
-
-    Ceiling on the probability that an independent codeword looks at
-    least as likely as the divergence-D one actually sent.
-    """
-    if n < 1:
-        raise ValueError(f"n must be a positive count, got {n}")
-    if not (math.isfinite(p_hat_divergence) and p_hat_divergence >= 0.0):
-        raise ValueError(
-            f"divergence must be >= 0, got {p_hat_divergence}")
-    log_bound = (
-        math.log(2.0)
-        + 0.5 * math.log1p(2.0 * xi * r)
-        + xi * n * r * p_hat_divergence
-        - n * lambda_fn(r, alpha, xi)
-    )
-    if log_bound > 700.0:
-        return math.inf
-    return math.exp(log_bound)

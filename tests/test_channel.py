@@ -247,6 +247,24 @@ class TestSimConfig:
         cfg = SimConfig(n=16, r=1.0, alpha=0.5, trials=1, seed=0, M=1 << 20)
         assert cfg.resolved_m * cfg.n == 1 << 24
 
+    @pytest.mark.parametrize("n, r", [(1, 1e300), (1, 2.0 ** 63),
+                                      (4, 2.0 ** 61)])
+    def test_reads_beyond_int64_rejected(self, n, r):
+        # numpy's multinomial count is an int64.
+        with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+            SimConfig(n=n, r=r, alpha=0.5, trials=10, seed=0, M=2)
+
+    def test_largest_read_count_runs(self):
+        # 2**63 - 1024 is the largest float below 2**63.
+        cfg = SimConfig(n=1, r=2.0 ** 63 - 1024, alpha=0.5, trials=10,
+                        seed=1, M=2)
+        assert cfg.reads == 2 ** 63 - 1024
+        assert estimate_error_probability(cfg).trials == 10
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SimConfig(n=10, r=2.0, alpha=0.5, trials=10, seed=-1, M=4)
+
 
 class TestErrorSimulation:
     def test_single_message_never_errs(self):
@@ -556,6 +574,20 @@ class TestChunkDriver:
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 ESTIMATORS[name](**{key: value})
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_too_many_chunks_rejected(self, name, address_space_cap):
+        # Refused before the job list of a trillion trials is built.
+        with pytest.raises(ValueError, match="chunks"):
+            ESTIMATORS[name](trials=10 ** 12)
+
+    def test_chunk_cap_is_exact(self, monkeypatch):
+        monkeypatch.setattr(channel, "_MAX_CHUNKS", 3)
+        trials = 3 * channel._CHUNK
+        sizes = channel._chunked(lambda rng, size: size, 0, 1, trials, (), 1)
+        assert sizes == [channel._CHUNK] * 3
+        with pytest.raises(ValueError, match="chunks"):
+            channel._chunked(lambda rng, size: size, 0, 1, trials + 1, (), 1)
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_outputs_equal_at_parallelism_1_2_8_16(self, name):

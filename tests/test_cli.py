@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,8 +12,8 @@ import pytest
 import freqchan
 import freqchan.verify
 from freqchan.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED,
-                          RunManifest, UsageError, main, parse_range,
-                          replay_manifest)
+                          RunManifest, UsageError, build_parser, main,
+                          parse_range, replay_manifest)
 from freqchan.rc_bounds import delta_fn
 
 
@@ -48,6 +49,49 @@ class TestParseRange:
     def test_rejects_invalid(self, bad):
         with pytest.raises(UsageError):
             parse_range(bad)
+
+    @pytest.mark.parametrize("big", [
+        "0:1:5e-324", "0:1e12:1", "-1e308:1e308:1e300", "0:1048576:1",
+    ])
+    def test_rejects_oversized_grid_before_building_it(self, big,
+                                                       address_space_cap):
+        # A subnormal step, a trillion points, hi - lo overflowing to inf,
+        # and the first span the cap refuses.
+        with pytest.raises(UsageError, match="steps"):
+            parse_range(big)
+
+    def test_largest_grid_accepted(self):
+        grid = parse_range("0:1048575:1")
+        assert len(grid) == 1 << 20 and grid[-1] == 1048575.0
+
+
+# Input outside a documented domain, each of which once ended in a
+# traceback, an OverflowError or a multi-GiB allocation.
+BAD_INPUT = [
+    ["rates", "--r", "0:1:0.5"],
+    ["rates", "--r", "1:3:1", "--g", "1e-320"],
+    ["exponents", "--r", "400", "--rate=-1:0:0.5"],
+    ["exponents", "--r", "400", "--rate", "0:1:5e-324"],
+    ["rates", "--r", "1:2:5e-324"],
+    ["exponents", "--r", "400", "--rate", "0:1e12:1", "--which", "rc"],
+    ["simulate", "--n", "1", "--r", "1e300", "--M", "2", "--trials", "10"],
+    ["simulate", "--n", "10", "--r", "2", "--M", "4", "--trials", "10",
+     "--seed=-1"],
+    ["simulate", "--n", "10", "--r", "2", "--M", "2",
+     "--trials", "1000000000000"],
+    ["rates", "--r", "1:3:1", "--g", "abc"],
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+    def test_exit_64_without_output(self, tmp_path, capsys, argv,
+                                    address_space_cap):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest").exists()
 
 
 class TestExponentsCommand:
@@ -290,6 +334,41 @@ class TestManifests:
         assert main(argv) == EXIT_OK
         assert _read(out) == body
 
+    @staticmethod
+    def _options(command):
+        """The long option of every argument the subcommand defines."""
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {a.dest: a.option_strings[0].lstrip("-")
+                for a in sub.choices[command]._actions
+                if a.option_strings and a.dest != "help"}
+
+    @pytest.mark.parametrize("argv", [
+        ["exponents", "--r", "400", "--rate", "0:0.01:0.005", "--which", "ex",
+         "--gnuplot", "{dir}/plot.dat"],
+        ["rates", "--r", "1:3:1", "--g", "200,1000"],
+        ["simulate", "--n", "10", "--r", "2", "--R", "0.3", "--trials", "200",
+         "--seed", "4", "--fixed-codebook", "--parallelism", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_every_option_recorded_and_replayed(self, tmp_path, argv):
+        argv = [a.format(dir=tmp_path) for a in argv]
+        argv += ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == EXIT_OK
+        parsed = vars(build_parser().parse_args(argv))
+        options = self._options(argv[0])
+        expected = {options[dest] for dest in options
+                    if parsed[dest] is not None}
+        manifest = RunManifest.read(str(tmp_path / "out.csv.manifest"))
+        assert set(manifest.parameters) == expected
+        assert manifest.seed == (4 if argv[0] == "simulate" else None)
+        outputs = sorted(p for p in tmp_path.iterdir()
+                         if p.suffix in (".csv", ".dat"))
+        bodies = [_read(p) for p in outputs]
+        for p in outputs:
+            p.unlink()
+        assert main(manifest.replay_argv()) == EXIT_OK
+        assert [_read(p) for p in outputs] == bodies
+
     def test_tool_version_matches_pyproject(self):
         # Manifests replay byte for byte only within one tool_version, so
         # the package and its metadata must name the same one.
@@ -345,6 +424,15 @@ class TestModuleEntryPoint:
         assert proc.returncode == EXIT_OK, proc.stderr
         lines = _read(out).strip().split("\n")
         assert lines[0] == "r,R_LB,converse" and len(lines) == 3
+
+    @pytest.mark.parametrize("row", [0, 3, 7])
+    def test_bad_input_has_no_traceback(self, tmp_path, row):
+        out = tmp_path / "x.csv"
+        proc = self._run(*BAD_INPUT[row], "--out", str(out))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("usage error: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, tmp_path):
         proc = self._run("exponents", "--r", "inf", "--rate", "0:0.01:0.01",

@@ -7,8 +7,7 @@ import scipy.special
 from freqchan import rc_bounds
 from freqchan.optimize import minimize_scalar, newton_root
 from freqchan.rc_bounds import (BoundQuery, ExponentPoint, KlTailBound,
-                         RcParams, chernoff_pairwise_bound,
-                         delta_fn, lambda_fn, lemma1_tail_bound,
+                         RcParams, delta_fn, lambda_fn, lemma1_tail_bound,
                          rate_lower_bound, rc_exponent,
                          thm1_probability_bound)
 from freqchan.special_fn import psi_fn
@@ -294,15 +293,6 @@ class TestFiniteNBounds:
             lemma1_tail_bound(0, 4.0, 0.1)
         with pytest.raises(ValueError):
             lemma1_tail_bound(10, 4.0, 0.0)
-
-    def test_chernoff_formula_identity(self):
-        got = chernoff_pairwise_bound(0.3, 50, 4.0, 0.8, 0.2)
-        want = 2.0 * math.sqrt(1.0 + 2.0 * 0.2 * 4.0) * math.exp(
-            0.2 * 50 * 4.0 * 0.3 - 50 * lambda_fn(4.0, 0.8, 0.2))
-        assert got == pytest.approx(want, rel=1e-10)
-
-    def test_chernoff_overflow_saturates(self):
-        assert chernoff_pairwise_bound(50.0, 1000, 4.0, 0.8, 1.0) == math.inf
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
