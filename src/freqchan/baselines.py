@@ -22,6 +22,8 @@ class FirQuery:
             raise ValueError(f"g must be positive, got {self.g}")
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be positive, got {self.r}")
+        if not math.isfinite(self.r / self.g):
+            raise ValueError(f"g = {self.g} is too small: r / g overflows")
 
 
 def converse_rate(r: float) -> float:

@@ -88,22 +88,28 @@ def _run_chunk(job):
     return kernel(_substream(seed, tag, index), size, *params)
 
 
-def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
-             parallelism: int, codebook_entries: int = 0) -> list:
-    """``kernel(rng, size, *params)`` on each chunk of ``trials`` in chunk
-    order, ``rng`` being the chunk's substream (seed, tag, index).  A chunk
-    holds _CHUNK trials, and at most _ERROR_CHUNK_ENTRIES entries when each
-    trial draws ``codebook_entries``; ``parallelism`` never changes it."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if parallelism < 1:
-        raise ValueError(
-            f"parallelism must be a positive count, got {parallelism}")
+def _chunk_size(trials: int, codebook_entries: int = 0) -> int:
+    """Trials per chunk: _CHUNK, and at most _ERROR_CHUNK_ENTRIES entries when
+    each trial draws ``codebook_entries``; over _MAX_CHUNKS chunks is refused."""
     chunk = _CHUNK
     if codebook_entries:
         chunk = min(_CHUNK, max(1, _ERROR_CHUNK_ENTRIES // codebook_entries))
     if -(-trials // chunk) > _MAX_CHUNKS:
         raise ValueError(f"{trials} trials need over {_MAX_CHUNKS} chunks")
+    return chunk
+
+
+def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
+             parallelism: int, codebook_entries: int = 0) -> list:
+    """``kernel(rng, size, *params)`` on each chunk of ``trials`` in chunk
+    order, ``rng`` being the chunk's substream (seed, tag, index).  The
+    chunk size comes from ``_chunk_size``; ``parallelism`` never changes it."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if parallelism < 1:
+        raise ValueError(
+            f"parallelism must be a positive count, got {parallelism}")
+    chunk = _chunk_size(trials, codebook_entries)
     jobs = [(kernel, params, seed, tag, index, min(chunk, trials - start))
             for index, start in enumerate(range(0, trials, chunk))]
     return _map(_run_chunk, jobs, parallelism)
@@ -276,27 +282,33 @@ class MomentReport:
 def _dirichlet(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
     """Symmetric Dirichlet(alpha) points along the last axis of ``size``.
 
-    Shapes below 1 use the boosted draw Gamma(alpha + 1) U^(1/alpha), whose
-    product can underflow to 0 for tiny alpha although its log,
+    At alpha = 1/2 an entry is Z^2, Z standard normal, as Gamma(1/2) = Z^2 / 2.
+    Other shapes below 1 use the boosted draw Gamma(alpha + 1) U^(1/alpha),
+    whose product can underflow to 0 for tiny alpha although its log,
     log G + log(U) / alpha, stays finite.  A row whose sum underflows is
-    rebuilt from those logs, shifted by the row max, so it costs no random
-    numbers and leaves other rows as they are.
+    rebuilt from the logs of its entries, shifted by the row max, so it
+    costs no random numbers and leaves other rows as they are.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha >= 1.0:
         g = rng.standard_gamma(alpha, size)
         return g / g.sum(axis=-1, keepdims=True)
-    g = rng.standard_gamma(alpha + 1.0, size)
-    u = rng.random(size)
-    draws = g * u ** (1.0 / alpha)
+    if alpha == 0.5:
+        draws = rng.standard_normal(size)
+        np.square(draws, out=draws)
+    else:
+        g = rng.standard_gamma(alpha + 1.0, size)
+        u = rng.random(size)
+        draws = g * u ** (1.0 / alpha)
     total = draws.sum(axis=-1, keepdims=True)
     low = total[..., 0] < np.finfo(np.float64).tiny
     if low.any():
-        logs = np.log(g[low]) + np.log(u[low]) / alpha
+        logs = (np.log(draws[low]) if alpha == 0.5
+                else np.log(g[low]) + np.log(u[low]) / alpha)
         draws[low] = np.exp(logs - logs.max(axis=-1, keepdims=True))
         total[low] = draws[low].sum(axis=-1, keepdims=True)
-    return draws / total
+    return np.divide(draws, total, out=draws)
 
 
 def _as_pmf(x) -> np.ndarray:
@@ -432,6 +444,7 @@ def estimate_error_probability(config: SimConfig) -> SimReport:
     m = config.resolved_m
     fixed = None
     if not config.fresh_codebook:
+        _chunk_size(config.trials, m * config.n)  # refuse before drawing
         rng = _substream(config.seed, _STREAM_FIXED_CODEBOOK, 0)
         codewords = _dirichlet(rng, config.alpha, (m, config.n))
         fixed = (codewords, _log(codewords))
@@ -521,8 +534,8 @@ def dirichlet_product_moment(alphas, betas) -> float:
 def _moment_chunk(rng: np.random.Generator, size: int, a: np.ndarray,
                   b: np.ndarray) -> tuple[float, float]:
     # Row j holds log G_j, drawn at a scalar shape (the sampler's fast path;
-    # row order is part of the stream contract) and boosted below shape 1 as
-    # in _dirichlet.  Reductions over j are then a few vector ops, and
+    # row order is part of the stream contract) and boosted below shape 1,
+    # 1/2 included.  Reductions over j are then a few vector ops, and
     # sum b_j log X_j = sum b_j log G_j - (sum b) log sum G_j cannot underflow.
     logs = np.empty((a.size, size))
     for j, aj in enumerate(a):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 
 from freqchan import channel
 from freqchan.channel import (BcTailReport, Codebook, DecodeError,
@@ -80,6 +81,37 @@ class TestSampleDirichlet:
         sq = first ** 2
         se_sq = sq.std(ddof=1) / math.sqrt(sq.size)
         assert sq.mean() == pytest.approx(want_sq, abs=3.0 * se_sq)
+
+    def test_half_is_normalized_squared_normals(self):
+        shape = (50, 7)
+        z = np.random.default_rng(11).standard_normal(shape)
+        want = z * z / (z * z).sum(axis=1, keepdims=True)
+        got = channel._dirichlet(np.random.default_rng(11), 0.5, shape)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    def test_half_marginal_is_beta(self, n):
+        # One coordinate of Dirichlet(1/2) over n types is Beta(1/2, (n-1)/2).
+        first = channel._dirichlet(np.random.default_rng(12), 0.5,
+                                   (20_000, n))[:, 0]
+        dist = scipy.stats.beta(0.5, (n - 1) / 2.0)
+        assert scipy.stats.kstest(first, dist.cdf).pvalue > 1e-3
+
+    def test_half_underflowed_rows_stay_on_simplex(self):
+        class TinyNormals:
+            # Squares near 1e-320 are subnormal, so every row sum
+            # underflows below the smallest normal float.
+            def standard_normal(self, size):
+                return 1e-160 * np.random.default_rng(13).uniform(0.5, 1.5,
+                                                                  size)
+
+        rows = channel._dirichlet(TinyNormals(), 0.5, (40, 5))
+        assert np.all(np.isfinite(rows)) and np.all(rows > 0.0)
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-12
+        # Subnormal squares keep about 11 bits.
+        z = np.random.default_rng(13).uniform(0.5, 1.5, (40, 5))
+        assert np.allclose(rows, z * z / (z * z).sum(axis=1, keepdims=True),
+                           rtol=1e-2, atol=0.0)
 
 
 class TestDivergenceAndOverlap:
@@ -581,6 +613,14 @@ class TestChunkDriver:
         with pytest.raises(ValueError, match="chunks"):
             ESTIMATORS[name](trials=10 ** 12)
 
+    def test_fixed_codebook_not_drawn_for_a_refused_run(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("codebook drawn before the chunk check")
+
+        monkeypatch.setattr(channel, "_dirichlet", no_draw)
+        with pytest.raises(ValueError, match="chunks"):
+            _error(trials=10 ** 12, fresh=False)
+
     def test_chunk_cap_is_exact(self, monkeypatch):
         monkeypatch.setattr(channel, "_MAX_CHUNKS", 3)
         trials = 3 * channel._CHUNK
@@ -599,8 +639,10 @@ class TestChunkDriver:
     def test_stream_pins(self):
         # Exact outputs recorded before the estimators shared one chunk
         # driver; any change to a substream or to the draw order moves them.
-        assert _error(trials=2500).errors == 1423
-        assert _error(trials=2500, fresh=False).errors == 1365
+        # The alpha = 1/2 error counts were re-recorded in 0.1.9, when
+        # Dirichlet(1/2) moved to squared normals; the others keep theirs.
+        assert _error(trials=2500).errors == 1339
+        assert _error(trials=2500, fresh=False).errors == 1347
         fresh = estimate_error_probability(SimConfig(
             n=6, r=2.0, alpha=1.7, R=0.3, trials=3000, seed=9))
         fixed = estimate_error_probability(SimConfig(

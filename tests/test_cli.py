@@ -204,6 +204,13 @@ class TestRatesCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
+    def test_budget_too_small_for_r_names_g(self, tmp_path, capsys):
+        code = main(["rates", "--r", "1:3:1", "--g", "1e-320",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "g = 1e-320" in err and "t must be" not in err
+
     def test_caveat_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "rates.csv"
         main(["rates", "--r", "10:20:10", "--g", "50", "--out", str(out)])
