@@ -116,13 +116,23 @@ def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
 
 
 def _reads(n: int, r: float) -> int:
-    """The n * r reads of one transmission: integral, and at most 2**63 - 1."""
+    """The n * r reads of one transmission: integral, from 1 to 2**63 - 1."""
     reads = n * r
-    if not math.isfinite(reads) or abs(reads - round(reads)) > 1e-9:
-        raise ValueError(f"n * r must be integral, got {reads}")
-    if round(reads) > np.iinfo(np.int64).max:
-        raise ValueError(f"n * r = {reads:.6g} exceeds 2**63 - 1 reads")
+    if not (math.isfinite(reads) and abs(reads - round(reads)) <= 1e-9
+            and 1 <= round(reads) <= np.iinfo(np.int64).max):
+        raise ValueError(f"n * r must be an integral read count from 1 to "
+                         f"2**63 - 1, got {reads:.6g}")
     return int(round(reads))
+
+
+def _check_alpha(alpha: float, total: float) -> None:
+    """Refuse a Dirichlet shape whose draws leave the float range: alpha > 0
+    with log(U) / alpha finite for every uniform U >= 2**-53 (no subnormal
+    alpha), and ``total``, the row's shape sum, finite."""
+    if not (alpha > 0.0 and math.isfinite(total)
+            and math.isfinite(math.log(2.0 ** -53) / alpha)):
+        raise ValueError(f"alpha must be positive, with log(U) / alpha and the "
+                         f"row total finite; got {alpha}, total {total:.6g}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +151,7 @@ class Codebook:
             raise ValueError("codewords must be finite and nonnegative")
         if np.max(np.abs(cw.sum(axis=1) - 1.0)) > _SIMPLEX_ATOL:
             raise ValueError("each codeword must sum to 1 within 1e-12")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha, cw.shape[1] * float(self.alpha))
         object.__setattr__(self, "codewords", cw)
 
     @property
@@ -203,8 +212,7 @@ class SimConfig:
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be positive, got {self.r}")
         _reads(self.n, self.r)
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha, self.n * float(self.alpha))
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.seed < 0:
@@ -279,36 +287,32 @@ class MomentReport:
     mc_std_err: float
 
 
+def _log_gamma_draws(rng: np.random.Generator, shape, size) -> np.ndarray:
+    """log G for Gamma(shape) draws G of ``size``.  Below shape 1, G is the
+    boosted Gamma(shape + 1) U^(1/shape) (Marsaglia & Tsang, ACM TOMS 26(3),
+    2000), gammas drawn first, kept in logs: for tiny shapes G underflows."""
+    if shape >= 1.0:
+        return np.log(rng.standard_gamma(shape, size))
+    logs = np.log(rng.standard_gamma(shape + 1.0, size))
+    logs += np.log(rng.random(size)) / shape
+    return logs
+
+
 def _dirichlet(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
     """Symmetric Dirichlet(alpha) points along the last axis of ``size``.
-
-    At alpha = 1/2 an entry is Z^2, Z standard normal, as Gamma(1/2) = Z^2 / 2.
-    Other shapes below 1 use the boosted draw Gamma(alpha + 1) U^(1/alpha),
-    whose product can underflow to 0 for tiny alpha although its log,
-    log G + log(U) / alpha, stays finite.  A row whose sum underflows is
-    rebuilt from the logs of its entries, shifted by the row max, so it
-    costs no random numbers and leaves other rows as they are.
-    """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if alpha >= 1.0:
-        g = rng.standard_gamma(alpha, size)
-        return g / g.sum(axis=-1, keepdims=True)
+    At alpha = 1/2 an entry is Z^2, Z standard normal (Gamma(1/2) = Z^2 / 2);
+    other shapes below 1 take exp(log G - max log G), so no row sum underflows.
+    Callers check ``alpha`` with ``_check_alpha``."""
     if alpha == 0.5:
         draws = rng.standard_normal(size)
         np.square(draws, out=draws)
+    elif alpha >= 1.0:
+        draws = rng.standard_gamma(alpha, size)
     else:
-        g = rng.standard_gamma(alpha + 1.0, size)
-        u = rng.random(size)
-        draws = g * u ** (1.0 / alpha)
-    total = draws.sum(axis=-1, keepdims=True)
-    low = total[..., 0] < np.finfo(np.float64).tiny
-    if low.any():
-        logs = (np.log(draws[low]) if alpha == 0.5
-                else np.log(g[low]) + np.log(u[low]) / alpha)
-        draws[low] = np.exp(logs - logs.max(axis=-1, keepdims=True))
-        total[low] = draws[low].sum(axis=-1, keepdims=True)
-    return np.divide(draws, total, out=draws)
+        draws = _log_gamma_draws(rng, alpha, size)
+        draws -= draws.max(axis=-1, keepdims=True)
+        np.exp(draws, out=draws)
+    return np.divide(draws, draws.sum(axis=-1, keepdims=True), out=draws)
 
 
 def _as_pmf(x) -> np.ndarray:
@@ -477,6 +481,7 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
     """Empirical frequency of D(empirical || p) >= rho_n over fresh
     Dirichlet(alpha) points p, next to its analytic ceiling."""
     reads = _reads(n, r)
+    _check_alpha(alpha, n * float(alpha))
     tail: KlTailBound = lemma1_tail_bound(n, r, mu)
     exceed = sum(_chunked(_kl_tail_chunk, _STREAM_KL_CHUNK, seed, trials,
                           (n, reads, alpha, tail.rho_n), parallelism))
@@ -511,10 +516,10 @@ def _moment_arrays(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(betas, dtype=np.float64)
     if a.ndim != 1 or a.size < 1 or a.shape != b.shape:
         raise ValueError("alphas and betas must be matching 1-D vectors")
-    if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("alphas must be positive")
-    if np.any(b < 0.0) or not np.all(np.isfinite(b)):
-        raise ValueError("betas must be nonnegative")
+    total = sum(a.tolist())  # overflows to inf without a numpy warning
+    _check_alpha(float(a.min()), total)
+    if np.any(b < 0.0) or not math.isfinite(total + sum(b.tolist())):
+        raise ValueError("betas must be nonnegative, with a finite sum")
     return a, b
 
 
@@ -534,16 +539,10 @@ def dirichlet_product_moment(alphas, betas) -> float:
 def _moment_chunk(rng: np.random.Generator, size: int, a: np.ndarray,
                   b: np.ndarray) -> tuple[float, float]:
     # Row j holds log G_j, drawn at a scalar shape (the sampler's fast path;
-    # row order is part of the stream contract) and boosted below shape 1,
-    # 1/2 included.  Reductions over j are then a few vector ops, and
+    # row order is part of the stream contract), 1/2 boosted like any shape
+    # below 1.  Reductions over j are then a few vector ops, and
     # sum b_j log X_j = sum b_j log G_j - (sum b) log sum G_j cannot underflow.
-    logs = np.empty((a.size, size))
-    for j, aj in enumerate(a):
-        if aj >= 1.0:
-            logs[j] = np.log(rng.standard_gamma(aj, size))
-        else:
-            logs[j] = (np.log(rng.standard_gamma(aj + 1.0, size))
-                       + np.log(rng.random(size)) / aj)
+    logs = np.stack([_log_gamma_draws(rng, aj, size) for aj in a])
     logs -= logs.max(axis=0)
     prods = np.exp(b @ logs - b.sum() * np.log(np.exp(logs).sum(axis=0)))
     return float(prods.sum()), float((prods * prods).sum())

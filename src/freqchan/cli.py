@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", required=True, metavar="LO:HI:STEP",
                    help="rate grid in nats")
     p.add_argument("--which", choices=("rc", "ex", "both"), default="both")
-    p.add_argument("--rho-max", type=float, default=1000.0,
+    p.add_argument("--rho-max", type=float, default=ExSettings.rho_max,
                    help="cap on the expurgation power rho")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--gnuplot", help="also write a two-column plot file")

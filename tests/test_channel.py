@@ -293,6 +293,14 @@ class TestSimConfig:
         assert cfg.reads == 2 ** 63 - 1024
         assert estimate_error_probability(cfg).trials == 10
 
+    @pytest.mark.parametrize("r", [1e-300, 1e-10])
+    def test_zero_reads_rejected(self, r):
+        # n * r rounds to 0 reads, within 1e-9 of an integer.
+        with pytest.raises(ValueError, match=r"n \* r"):
+            SimConfig(n=10, r=r, alpha=0.5, trials=100, seed=0, M=2)
+        with pytest.raises(ValueError, match=r"n \* r"):
+            estimate_kl_tail(n=10, r=r, alpha=0.5, mu=0.1, trials=100, seed=0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             SimConfig(n=10, r=2.0, alpha=0.5, trials=10, seed=-1, M=4)
@@ -474,7 +482,7 @@ class TestProductMoments:
 
 class TestTinyAlpha:
     # At alpha = 0.001 the boosted draw G U^(1/alpha) underflows to zero
-    # for most rows, which are then rebuilt in log space.
+    # for most rows, so every row is formed from its logs.
 
     def test_underflowed_rows_are_points_of_the_simplex(self):
         rng = np.random.default_rng(4)
@@ -484,22 +492,17 @@ class TestTinyAlpha:
         # Near-vertex points: the largest coordinate is almost always ~1.
         assert np.mean(p.max(axis=1) > 1.0 - 1e-6) > 0.9
 
-    def test_rows_that_do_not_underflow_are_unchanged(self):
-        alpha, shape = 0.002, (4000, 2)
+    @pytest.mark.parametrize("alpha", [0.001, 0.3])
+    def test_rows_are_normalized_log_domain_draws(self, alpha):
+        # Bit for bit exp(L - max L) / sum, L = log G + log(U) / alpha.
+        shape = (4000, 3)
         rng = np.random.default_rng(6)
-        g = rng.standard_gamma(alpha + 1.0, shape)
-        u = rng.random(shape)
-        draws = g * u ** (1.0 / alpha)
-        total = draws.sum(axis=1, keepdims=True)
-        normal = total[:, 0] >= np.finfo(np.float64).tiny
-        assert 0 < np.count_nonzero(~normal) < 4000
-        p = channel._dirichlet(np.random.default_rng(6), alpha, shape)
-        assert np.array_equal(p[normal], draws[normal] / total[normal])
-        logs = np.log(g[~normal]) + np.log(u[~normal]) / alpha
+        logs = np.log(rng.standard_gamma(alpha + 1.0, shape))
+        logs = logs + np.log(rng.random(shape)) / alpha
         want = np.exp(logs - logs.max(axis=1, keepdims=True))
-        assert np.allclose(p[~normal],
-                           want / want.sum(axis=1, keepdims=True),
-                           rtol=1e-15, atol=0.0)
+        want /= want.sum(axis=1, keepdims=True)
+        got = channel._dirichlet(np.random.default_rng(6), alpha, shape)
+        assert np.array_equal(got, want)
 
     def test_sample_dirichlet(self):
         rng = np.random.default_rng(1)
@@ -600,7 +603,8 @@ class TestChunkDriver:
         for key, value in (("parallelism", 0), ("parallelism", -3),
                            ("trials", 0), ("trials", -1))
     ] + [(name, "alpha", alpha) for name in ("error", "kl_tail", "moment")
-         for alpha in (0.0, -1.0, math.nan, math.inf)])
+         for alpha in (0.0, -1.0, math.nan, math.inf, 1e-308, 1e-320)
+    ] + [(name, "alpha", 1e308) for name in ("error", "kl_tail")])
     def test_bad_input_is_a_value_error(self, name, key, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -629,11 +633,15 @@ class TestChunkDriver:
         with pytest.raises(ValueError, match="chunks"):
             channel._chunked(lambda rng, size: size, 0, 1, trials + 1, (), 1)
 
-    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
-    def test_outputs_equal_at_parallelism_1_2_8_16(self, name):
+    @pytest.mark.parametrize("name, kwargs", [
+        pytest.param(name, {}, id=name) for name in sorted(ESTIMATORS)
+    ] + [pytest.param(name, {"alpha": 0.001}, id=f"{name}-alpha-0.001")
+         for name in ("error", "kl_tail")])
+    def test_outputs_equal_at_parallelism_1_2_8_16(self, name, kwargs):
         # Several chunks each, so every parallelism above 1 starts a pool,
         # capped at the CPU count.
-        reports = [ESTIMATORS[name](parallelism=p) for p in (1, 2, 8, 16)]
+        reports = [ESTIMATORS[name](parallelism=p, **kwargs)
+                   for p in (1, 2, 8, 16)]
         assert reports[0] == reports[1] == reports[2] == reports[3]
 
     def test_stream_pins(self):
@@ -651,6 +659,12 @@ class TestChunkDriver:
         assert (fresh.errors, fixed.errors) == (750, 896)
         assert _kl_tail().empirical == 26 / 9000
         assert _bc_tail().empirical == 0.01835
+        assert estimate_product_moment(
+            [0.002, 0.3, 0.5, 1.7], [0.5, 1.0, 0.0, 2.0], trials=50_000,
+            seed=7).mc_estimate == 5.054519953082678e-05
+        # Recorded in 0.1.10, when tiny-alpha rows moved to the log domain.
+        assert _error(trials=2500, alpha=0.001).errors == 2331
+        assert _error(trials=2500, alpha=0.001, fresh=False).errors == 2367
 
 
 class TestReportInvariants:

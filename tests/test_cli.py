@@ -80,6 +80,8 @@ BAD_INPUT = [
     ["simulate", "--n", "10", "--r", "2", "--M", "2",
      "--trials", "1000000000000"],
     ["rates", "--r", "1:3:1", "--g", "abc"],
+    ["simulate", "--n", "10", "--r", "1e-300", "--M", "2", "--trials", "100"],
+    ["simulate", "--n", "10", "--r", "1e-10", "--M", "2", "--trials", "100"],
 ]
 
 
@@ -263,6 +265,17 @@ class TestSimulateCommand:
         row = _read(out).strip().split("\n")[1].split(",")
         assert 0 < int(row[7]) < 2000
 
+    @pytest.mark.parametrize("alpha", ["1e-320", "1e308"])
+    def test_alpha_out_of_range_names_alpha(self, tmp_path, capsys, alpha):
+        # 1/alpha overflows at 1e-320, the row total n alpha at 1e308.
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--n", "3", "--r", "1", "--M", "2",
+                     "--alpha", alpha, "--trials", "10", "--seed", "0",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rate_spec(self, tmp_path):
         out = tmp_path / "rate.csv"
         main(["simulate", "--n", "10", "--r", "2", "--R", "0.3", "--trials",
@@ -368,6 +381,8 @@ class TestManifests:
         manifest = RunManifest.read(str(tmp_path / "out.csv.manifest"))
         assert set(manifest.parameters) == expected
         assert manifest.seed == (4 if argv[0] == "simulate" else None)
+        if argv[0] == "exponents":  # ExSettings.rho_max, criterion 02's cap
+            assert manifest.parameters["rho-max"] == "1000"
         outputs = sorted(p for p in tmp_path.iterdir()
                          if p.suffix in (".csv", ".dat"))
         bodies = [_read(p) for p in outputs]
