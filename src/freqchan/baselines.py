@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import frozen
 from .special_fn import psi_fn
 
 __all__ = ["FirQuery", "converse_rate", "fir_rate"]
 
 
-@dataclass(frozen=True)
+@frozen
 class FirQuery:
     """A (resolution budget, sampling ratio) pair for the finite-budget curve."""
 
@@ -27,7 +27,13 @@ class FirQuery:
 
 
 def converse_rate(r: float) -> float:
-    """log(r) / 2, the unlimited-resolution ceiling in nats."""
+    """log(r) / 2, the unlimited-resolution ceiling in nats.
+
+    Below r = 1 this is negative, and a capacity never is, so it is no
+    bound there.  Criterion 05 and the baseline tests check that the
+    other curves stay under it only for r >= 10; the paper's abstract
+    states no range of r for it.
+    """
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     return 0.5 * math.log(r)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  at import, not lazily at the first draw
 
+from ._record import frozen
 from .ex_bounds import l_fn
 from .rc_bounds import BoundQuery, KlTailBound, lemma1_tail_bound, thm1_probability_bound
 from .special_fn import log_gamma
@@ -135,7 +135,7 @@ def _check_alpha(alpha: float, total: float) -> None:
                          f"row total finite; got {alpha}, total {total:.6g}")
 
 
-@dataclass(frozen=True)
+@frozen
 class Codebook:
     """M codewords on the n-simplex, plus the draw that produced them."""
 
@@ -163,7 +163,7 @@ class Codebook:
         return int(self.codewords.shape[1])
 
 
-@dataclass(frozen=True)
+@frozen
 class SampleCounts:
     """Multinomial counts over n types from a known number of draws."""
 
@@ -187,7 +187,7 @@ class SampleCounts:
         return self.counts / float(self.trials)
 
 
-@dataclass(frozen=True)
+@frozen
 class SimConfig:
     """Configuration of one error-probability experiment.
 
@@ -248,7 +248,7 @@ class SimConfig:
         return math.log(self.resolved_m) / self.n
 
 
-@dataclass(frozen=True)
+@frozen
 class SimReport:
     """Simulated error frequency with its confidence interval and ceiling."""
 
@@ -259,7 +259,7 @@ class SimReport:
     thm1_bound: float
 
 
-@dataclass(frozen=True)
+@frozen
 class TailReport:
     """Empirical divergence tail next to its analytic ceiling."""
 
@@ -269,7 +269,7 @@ class TailReport:
     bound: float
 
 
-@dataclass(frozen=True)
+@frozen
 class BcTailReport:
     """Empirical overlap tail next to its analytic ceiling."""
 
@@ -278,7 +278,7 @@ class BcTailReport:
     bound: float
 
 
-@dataclass(frozen=True)
+@frozen
 class MomentReport:
     """Closed-form product moment next to its Monte Carlo estimate."""
 

@@ -21,9 +21,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
+from ._record import frozen
 from .baselines import FirQuery, converse_rate, fir_rate
 from .ex_bounds import ExSettings, ex_exponent
 from .rc_bounds import BoundQuery, rc_exponent, rate_lower_bound
@@ -51,22 +51,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
+@frozen
 class RunManifest:
     """Everything needed to reproduce one output file.
 
     ``parameters`` maps CLI option names (without dashes) to their
-    string values; replaying the reconstructed argv writes the same
-    bytes again.  ``wall_time_s`` is informational and excluded from
-    replay.
+    string values (a fresh empty dict when omitted); replaying the
+    reconstructed argv writes the same bytes again.  ``wall_time_s`` is
+    informational and excluded from replay.
     """
 
     command: str
-    parameters: dict[str, str] = field(default_factory=dict)
+    parameters: dict[str, str] | None = None
     seed: int | None = None
     tool_version: str = __version__
     wall_time_s: float = 0.0
     note: str = ""
+
+    def __post_init__(self) -> None:
+        if self.parameters is None:
+            object.__setattr__(self, "parameters", {})
 
     def write(self, path: str) -> None:
         lines = [

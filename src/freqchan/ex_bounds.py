@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from ._record import frozen
 # perfbench/tracer.py wraps ex_bounds.maximize_scalar; unused here.
 from .optimize import maximize_scalar, newton_root  # noqa: F401
 from .rc_bounds import BoundQuery
@@ -51,8 +51,11 @@ _SIGMA_RTOL = 1e-8
 _SIGMA_ITERS = 20
 
 
-@dataclass(frozen=True)
+@frozen
 class ExSettings:
+    """The cap on rho in the expurgated supremum over rho >= 1; an
+    exponent whose optimal rho reaches it is flagged ``rho_capped``."""
+
     rho_max: float = 1000.0
 
     def __post_init__(self) -> None:
@@ -60,7 +63,7 @@ class ExSettings:
             raise ValueError("rho_max must be finite and exceed 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class ExParams:
     """Witness for the expurgated optimization chain."""
 
@@ -78,7 +81,7 @@ class ExParams:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
 
 
-@dataclass(frozen=True)
+@frozen
 class ExExponentPoint:
     """Expurgated exponent value, witness, and the rho-cap flag."""
 

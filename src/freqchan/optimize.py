@@ -11,8 +11,9 @@ known in closed form, falling back to bisection of the bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
+
+from ._record import frozen
 
 __all__ = [
     "EvaluationError",
@@ -40,7 +41,7 @@ class EvaluationError(RuntimeError):
         self.point = point
 
 
-@dataclass(frozen=True)
+@frozen
 class SearchInterval:
     """A 1-D search domain; an open lower end is approached via an inset."""
 
@@ -61,8 +62,12 @@ class SearchInterval:
         return self.lo, self.hi
 
 
-@dataclass(frozen=True)
+@frozen
 class OptimizerSettings:
+    """Coarse grid size, golden-section iteration cap and relative
+    tolerance of ``maximize_scalar``, and the inset of an open lower end
+    as a share of the interval's width."""
+
     coarse_points: int = 512
     refine_iters: int = 80
     tol: float = 1e-9

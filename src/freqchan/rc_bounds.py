@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from ._record import frozen
 # perfbench/tracer.py wraps rc_bounds.maximize_scalar; unused here.
 from .optimize import (OptimizerSettings, SearchInterval, maximize_scalar,
                        minimize_scalar, newton_root)  # noqa: F401
@@ -55,7 +55,7 @@ _DELTA_SEARCH = OptimizerSettings(coarse_points=3)
 _DELTA_DOUBLINGS = 16
 
 
-@dataclass(frozen=True)
+@frozen
 class RcParams:
     """Witness for the random-coding optimization."""
 
@@ -69,12 +69,12 @@ class RcParams:
             raise ValueError(f"xi must be positive, got {self.xi}")
 
 
-@dataclass(frozen=True)
+@frozen
 class RcSettings:
     """No settings remain; kept importable for the acceptance tests."""
 
 
-@dataclass(frozen=True)
+@frozen
 class BoundQuery:
     """A (rate, sampling ratio) pair, optionally with a block length."""
 
@@ -91,7 +91,7 @@ class BoundQuery:
             raise ValueError(f"n must be a positive count, got {self.n}")
 
 
-@dataclass(frozen=True)
+@frozen
 class ExponentPoint:
     """An exponent value together with the parameters achieving it."""
 
@@ -104,7 +104,7 @@ class ExponentPoint:
             raise ValueError(f"exponent must be nonnegative, got {self.E}")
 
 
-@dataclass(frozen=True)
+@frozen
 class KlTailBound:
     """Right-hand side of the divergence tail ceiling plus its threshold."""
 

@@ -521,12 +521,22 @@ print(json.dumps({"codes": codes, "bounds_numpy": bounds_numpy,
             freqchan.no_such_name
 
     def test_from_import_in_a_fresh_process(self):
-        script = ("import sys\nimport freqchan\n"
-                  "assert 'numpy' not in sys.modules\n"
+        # The child starts without site (-S), whose .pth files may import
+        # typing, and counts the modules each step adds; site then runs,
+        # for numpy.
+        heavy = {"dataclasses", "inspect", "typing", "numpy"}
+        script = (f"import sys\nheavy = {heavy!r}\n"
+                  "before = set(sys.modules)\nimport freqchan\n"
+                  "print(sorted(heavy & (set(sys.modules) - before)))\n"
+                  "import site\nsite.main()\nbefore = set(sys.modules)\n"
+                  "import freqchan.cli\n"
                   "from freqchan import SimConfig\n"
-                  "print(SimConfig.__module__, 'numpy' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", script],
+                  "added = set(sys.modules) - before\n"
+                  "print(SimConfig.__module__, 'numpy' in added,\n"
+                  "      'dataclasses' in added)")
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
                               env=_child_env(), capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["freqchan.channel", "True"]
+        assert proc.stdout.splitlines() == ["[]",
+                                            "freqchan.channel True False"]
