@@ -8,8 +8,9 @@ Randomness is derived counter-style from (seed, stream tag, index), so
 every estimate is independent of how work is split across processes:
 one driver, ``_chunked``, splits the trials into chunks whose size depends
 only on the problem and gives each chunk a substream and a kernel that
-vectorizes inside it.  The error-probability kernel draws a chunk's
-codebooks, messages and reads in one call each and decodes them at once.
+vectorizes inside it and returns (sum w, sum w^2, events), which the driver
+alone reduces.  The error-probability kernel draws a chunk's codebooks,
+messages and reads in one call each and decodes them at once.
 """
 
 from __future__ import annotations
@@ -100,10 +101,11 @@ def _chunk_size(trials: int, codebook_entries: int = 0) -> int:
 
 
 def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
-             parallelism: int, codebook_entries: int = 0) -> list:
-    """``kernel(rng, size, *params)`` on each chunk of ``trials`` in chunk
-    order, ``rng`` being the chunk's substream (seed, tag, index).  The
-    chunk size comes from ``_chunk_size``; ``parallelism`` never changes it."""
+             parallelism: int, codebook_entries: int = 0) -> tuple:
+    """(mean, standard error, events) of w over ``trials`` from the chunk
+    sums (sum w, sum w^2, events) of ``kernel(rng, size, *params)``, ``rng``
+    being each chunk's substream (seed, tag, index).  The chunk size comes
+    from ``_chunk_size``; ``parallelism`` never changes it."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if parallelism < 1:
@@ -112,7 +114,12 @@ def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
     chunk = _chunk_size(trials, codebook_entries)
     jobs = [(kernel, params, seed, tag, index, min(chunk, trials - start))
             for index, start in enumerate(range(0, trials, chunk))]
-    return _map(_run_chunk, jobs, parallelism)
+    totals, squares, events = zip(*_map(_run_chunk, jobs, parallelism))
+    mean = math.fsum(totals) / trials
+    var = max(math.fsum(squares) / trials - mean * mean, 0.0)
+    if trials > 1:
+        var *= trials / (trials - 1.0)
+    return mean, math.sqrt(var / trials), sum(events)
 
 
 def _reads(n: int, r: float) -> int:
@@ -267,6 +274,8 @@ class TailReport:
     rho_n: float
     empirical: float
     bound: float
+    events: int
+    std_err: float
 
 
 @frozen
@@ -276,6 +285,8 @@ class BcTailReport:
     lam: float
     empirical: float
     bound: float
+    events: int
+    std_err: float
 
 
 @frozen
@@ -424,7 +435,7 @@ def wilson_std_err(errors: int, trials: int) -> float:
 
 
 def _error_chunk(rng: np.random.Generator, size: int, n: int, reads: int,
-                 alpha: float, m: int, fixed) -> int:
+                 alpha: float, m: int, fixed) -> tuple[int, int, int]:
     if fixed is None:
         codewords = _dirichlet(rng, alpha, (size, m, n))
         log_codewords = _log(codewords)
@@ -433,7 +444,8 @@ def _error_chunk(rng: np.random.Generator, size: int, n: int, reads: int,
         log_codewords = fixed[1]
     messages = rng.integers(m, size=size)
     counts = rng.multinomial(reads, codewords[np.arange(size), messages])
-    return int(np.count_nonzero(_decode(counts, log_codewords) != messages))
+    errors = int(np.count_nonzero(_decode(counts, log_codewords) != messages))
+    return errors, errors, errors
 
 
 def estimate_error_probability(config: SimConfig) -> SimReport:
@@ -452,12 +464,10 @@ def estimate_error_probability(config: SimConfig) -> SimReport:
         rng = _substream(config.seed, _STREAM_FIXED_CODEBOOK, 0)
         codewords = _dirichlet(rng, config.alpha, (m, config.n))
         fixed = (codewords, _log(codewords))
-    errors = sum(_chunked(
+    eps_hat, _, errors = _chunked(
         _error_chunk, _STREAM_ERROR_CHUNK, config.seed, config.trials,
         (config.n, config.reads, config.alpha, m, fixed), config.parallelism,
-        codebook_entries=m * config.n))
-
-    eps_hat = errors / config.trials
+        codebook_entries=m * config.n)
     query = BoundQuery(R=config.resolved_rate, r=config.r, n=config.n)
     return SimReport(
         errors=errors,
@@ -469,11 +479,12 @@ def estimate_error_probability(config: SimConfig) -> SimReport:
 
 
 def _kl_tail_chunk(rng: np.random.Generator, size: int, n: int, reads: int,
-                   alpha: float, rho_n: float) -> int:
+                   alpha: float, rho_n: float) -> tuple[int, int, int]:
     p = _dirichlet(rng, alpha, (size, n))
     counts = rng.multinomial(reads, p)
     div = _rel_entr_sum(counts / reads, p)
-    return int(np.count_nonzero(div >= rho_n))
+    exceed = int(np.count_nonzero(div >= rho_n))
+    return exceed, exceed, exceed
 
 
 def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
@@ -483,20 +494,22 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
     reads = _reads(n, r)
     _check_alpha(alpha, n * float(alpha))
     tail: KlTailBound = lemma1_tail_bound(n, r, mu)
-    exceed = sum(_chunked(_kl_tail_chunk, _STREAM_KL_CHUNK, seed, trials,
-                          (n, reads, alpha, tail.rho_n), parallelism))
-    return TailReport(mu=mu, rho_n=tail.rho_n,
-                      empirical=exceed / trials, bound=tail.bound)
+    mean, std_err, events = _chunked(
+        _kl_tail_chunk, _STREAM_KL_CHUNK, seed, trials,
+        (n, reads, alpha, tail.rho_n), parallelism)
+    return TailReport(mu=mu, rho_n=tail.rho_n, empirical=mean,
+                      bound=tail.bound, events=events, std_err=std_err)
 
 
 def _bc_tail_chunk(rng: np.random.Generator, size: int, n: int,
-                   lam: float) -> int:
+                   lam: float) -> tuple[int, int, int]:
     # Dirichlet(1/2) overlap via normal vectors: sum |x_k y_k| / (|x| |y|).
     x = rng.standard_normal((size, n))
     y = rng.standard_normal((size, n))
     overlap = np.abs(x * y).sum(axis=1)
     overlap /= np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
-    return int(np.count_nonzero(overlap >= lam))
+    exceed = int(np.count_nonzero(overlap >= lam))
+    return exceed, exceed, exceed
 
 
 def estimate_bc_tail(n: int, lam: float, trials: int, seed: int,
@@ -506,9 +519,10 @@ def estimate_bc_tail(n: int, lam: float, trials: int, seed: int,
     if n < 1:
         raise ValueError(f"n must be a positive count, got {n}")
     bound = 4.0 * math.exp(-n * l_fn(lam))
-    exceed = sum(_chunked(_bc_tail_chunk, _STREAM_BC_CHUNK, seed, trials,
-                          (n, lam), parallelism))
-    return BcTailReport(lam=lam, empirical=exceed / trials, bound=bound)
+    mean, std_err, events = _chunked(_bc_tail_chunk, _STREAM_BC_CHUNK, seed,
+                                     trials, (n, lam), parallelism)
+    return BcTailReport(lam=lam, empirical=mean, bound=bound, events=events,
+                        std_err=std_err)
 
 
 def _moment_arrays(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -537,7 +551,7 @@ def dirichlet_product_moment(alphas, betas) -> float:
 
 
 def _moment_chunk(rng: np.random.Generator, size: int, a: np.ndarray,
-                  b: np.ndarray) -> tuple[float, float]:
+                  b: np.ndarray) -> tuple[float, float, int]:
     # Row j holds log G_j, drawn at a scalar shape (the sampler's fast path;
     # row order is part of the stream contract), 1/2 boosted like any shape
     # below 1.  Reductions over j are then a few vector ops, and
@@ -545,7 +559,8 @@ def _moment_chunk(rng: np.random.Generator, size: int, a: np.ndarray,
     logs = np.stack([_log_gamma_draws(rng, aj, size) for aj in a])
     logs -= logs.max(axis=0)
     prods = np.exp(b @ logs - b.sum() * np.log(np.exp(logs).sum(axis=0)))
-    return float(prods.sum()), float((prods * prods).sum())
+    return (float(prods.sum()), float((prods * prods).sum()),
+            int(np.count_nonzero(prods)))
 
 
 def estimate_product_moment(alphas, betas, trials: int, seed: int,
@@ -557,16 +572,7 @@ def estimate_product_moment(alphas, betas, trials: int, seed: int,
     and never on ``parallelism``.
     """
     a, b = _moment_arrays(alphas, betas)
-    sums = _chunked(_moment_chunk, _STREAM_MOMENT_CHUNK, seed, trials,
-                    (a, b), parallelism)
-    total = math.fsum(chunk_total for chunk_total, _ in sums)
-    total_sq = math.fsum(chunk_total_sq for _, chunk_total_sq in sums)
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    if trials > 1:
-        var *= trials / (trials - 1.0)
-    return MomentReport(
-        closed_form=dirichlet_product_moment(a, b),
-        mc_estimate=mean,
-        mc_std_err=math.sqrt(var / trials),
-    )
+    mean, std_err, _ = _chunked(_moment_chunk, _STREAM_MOMENT_CHUNK, seed,
+                                trials, (a, b), parallelism)
+    return MomentReport(closed_form=dirichlet_product_moment(a, b),
+                        mc_estimate=mean, mc_std_err=std_err)

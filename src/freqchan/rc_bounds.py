@@ -70,11 +70,6 @@ class RcParams:
 
 
 @frozen
-class RcSettings:
-    """No settings remain; kept importable for the acceptance tests."""
-
-
-@frozen
 class BoundQuery:
     """A (rate, sampling ratio) pair, optionally with a block length."""
 

@@ -21,7 +21,7 @@ from freqchan.channel import (SimConfig, estimate_bc_tail,
 from freqchan.cli import main
 from freqchan.ex_bounds import MEAN_ABS_XY, ex_exponent, f_kappa, g_fn, l_fn
 from freqchan.optimize import OptimizerSettings, SearchInterval, maximize_scalar
-from freqchan.rc_bounds import (BoundQuery, RcSettings, delta_fn, lambda_fn,
+from freqchan.rc_bounds import (BoundQuery, delta_fn, lambda_fn,
                          rate_lower_bound, rc_exponent,
                          thm1_probability_bound)
 

@@ -357,7 +357,7 @@ class TestErrorSimulation:
 
         def record(fn, jobs, parallelism):
             seen.append([job[-2:] for job in jobs])
-            return [0] * len(jobs)
+            return [(0, 0, 0)] * len(jobs)
 
         monkeypatch.setattr(channel, "_map", record)
         for p in (1, 2, 7):
@@ -414,6 +414,17 @@ class TestTailEstimators:
         rep = estimate_kl_tail(n=50, r=4.0, alpha=0.5, mu=5.0,
                                trials=5_000, seed=1)
         assert rep.empirical == 0.0
+        assert rep.events == 0 and rep.std_err == 0.0
+
+    @pytest.mark.parametrize("name", ["kl_tail", "bc_tail"])
+    def test_counting_report_is_events_over_trials(self, name):
+        trials = 9000
+        rep = ESTIMATORS[name](trials=trials)
+        p = rep.events / trials
+        assert 0 < rep.events < trials
+        assert rep.empirical == p
+        assert rep.std_err == pytest.approx(
+            math.sqrt(p * (1.0 - p) / (trials - 1)), rel=1e-15, abs=0.0)
 
     def test_kl_tail_parallelism_invariant(self):
         a = estimate_kl_tail(n=20, r=5.0, alpha=0.5, mu=0.1,
@@ -628,10 +639,21 @@ class TestChunkDriver:
     def test_chunk_cap_is_exact(self, monkeypatch):
         monkeypatch.setattr(channel, "_MAX_CHUNKS", 3)
         trials = 3 * channel._CHUNK
-        sizes = channel._chunked(lambda rng, size: size, 0, 1, trials, (), 1)
-        assert sizes == [channel._CHUNK] * 3
+
+        def kernel(rng, size):
+            return size, size, size
+
+        assert channel._chunked(kernel, 0, 1, trials, (), 1) \
+            == (1.0, 0.0, trials)
         with pytest.raises(ValueError, match="chunks"):
-            channel._chunked(lambda rng, size: size, 0, 1, trials + 1, (), 1)
+            channel._chunked(kernel, 0, 1, trials + 1, (), 1)
+
+    def test_chunk_sums_are_added_exactly(self):
+        # Added in float order, 1e16 + 1 - 1e16 would lose the 1.
+        sums = iter([(1e16, 1e32, 1), (1.0, 1.0, 1), (-1e16, 1e32, 1)])
+        mean, _, events = channel._chunked(lambda rng, size: next(sums), 0, 1,
+                                           3 * channel._CHUNK, (), 1)
+        assert (mean, events) == (1.0 / (3 * channel._CHUNK), 3)
 
     @pytest.mark.parametrize("name, kwargs", [
         pytest.param(name, {}, id=name) for name in sorted(ESTIMATORS)
@@ -659,9 +681,13 @@ class TestChunkDriver:
         assert (fresh.errors, fixed.errors) == (750, 896)
         assert _kl_tail().empirical == 26 / 9000
         assert _bc_tail().empirical == 0.01835
-        assert estimate_product_moment(
+        assert _kl_tail().events == 26
+        assert _bc_tail().events == 367
+        moment = estimate_product_moment(
             [0.002, 0.3, 0.5, 1.7], [0.5, 1.0, 0.0, 2.0], trials=50_000,
-            seed=7).mc_estimate == 5.054519953082678e-05
+            seed=7)
+        assert moment.mc_estimate == 5.054519953082678e-05
+        assert moment.mc_std_err == 3.5983978867217397e-06
         # Recorded in 0.1.10, when tiny-alpha rows moved to the log domain.
         assert _error(trials=2500, alpha=0.001).errors == 2331
         assert _error(trials=2500, alpha=0.001, fresh=False).errors == 2367

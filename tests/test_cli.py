@@ -409,6 +409,17 @@ class TestVerifyCommand:
         assert "PASS" in out and "FAIL" not in out
         assert "checks=" in out and "failed=0" in out
 
+    def test_tail_checks_show_events_and_std_err(self):
+        # At seed 0 the divergence tail sees no event and the overlap tail
+        # sees 9; the details say so next to the estimate and the ceiling.
+        details = {name: detail for name, _, detail
+                   in freqchan.verify.run_suites("channel", seed=0)}
+        kl = details["divergence tail under its ceiling"]
+        bc = details["overlap tail under its ceiling"]
+        assert kl == "events=0/20000 emp=0 se=0 bound=0.102"
+        assert bc.startswith("events=9/20000 emp=0.00045 se=")
+        assert bc.endswith(" bound=3.37")
+
     def test_failing_check_sets_exit_code(self, monkeypatch, capsys):
         monkeypatch.setitem(
             freqchan.verify.SUITES, "special",

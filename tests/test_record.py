@@ -13,8 +13,13 @@ from freqchan.channel import (BcTailReport, Codebook, MomentReport,
 from freqchan.cli import RunManifest
 from freqchan.ex_bounds import ExExponentPoint, ExParams, ExSettings
 from freqchan.optimize import OptimizerSettings, SearchInterval
-from freqchan.rc_bounds import (BoundQuery, ExponentPoint, KlTailBound,
-                                RcParams, RcSettings)
+from freqchan.rc_bounds import BoundQuery, ExponentPoint, KlTailBound, RcParams
+
+
+@frozen
+class Empty:
+    pass
+
 
 # (class, every field in order with a valid value, the defaulted fields
 # that may be omitted with the value they then take)
@@ -26,7 +31,7 @@ RECORDS = [
      {"coarse_points": 512, "refine_iters": 80, "tol": 1e-9,
       "open_margin": 1e-8}),
     (RcParams, {"alpha": 0.5, "xi": 2.0}, {}),
-    (RcSettings, {}, {}),
+    (Empty, {}, {}),
     (BoundQuery, {"R": 0.5, "r": 400.0, "n": 10}, {"n": None}),
     (ExponentPoint, {"R": 0.1, "E": 0.2, "argmax": RcParams(0.5, 2.0)}, {}),
     (KlTailBound, {"bound": 0.3, "rho_n": 0.01}, {}),
@@ -45,9 +50,10 @@ RECORDS = [
      {"R": None, "parallelism": 1, "fresh_codebook": True}),
     (SimReport, {"errors": 1, "trials": 10, "eps_hat": 0.1,
                  "wilson_ci": (0.02, 0.4), "thm1_bound": 0.9}, {}),
-    (TailReport, {"mu": 0.9, "rho_n": 0.1, "empirical": 0.0, "bound": 0.5},
-     {}),
-    (BcTailReport, {"lam": 0.9, "empirical": 0.0, "bound": 0.5}, {}),
+    (TailReport, {"mu": 0.9, "rho_n": 0.1, "empirical": 0.0, "bound": 0.5,
+                  "events": 0, "std_err": 0.0}, {}),
+    (BcTailReport, {"lam": 0.9, "empirical": 0.0, "bound": 0.5, "events": 0,
+                    "std_err": 0.0}, {}),
     (MomentReport, {"closed_form": 0.1, "mc_estimate": 0.11,
                     "mc_std_err": 0.01}, {}),
     (RunManifest, {"command": "rates", "parameters": {"r": "4:4:1"},
@@ -129,7 +135,7 @@ class TestRecord:
 
 def test_repr():
     assert repr(BoundQuery(0.5, 400.0)) == "BoundQuery(R=0.5, r=400.0, n=None)"
-    assert repr(RcSettings()) == "RcSettings()"
+    assert repr(Empty()) == "Empty()"
     assert repr(ExponentPoint(0.1, 0.2, RcParams(0.5, 2.0))) == (
         "ExponentPoint(R=0.1, E=0.2, argmax=RcParams(alpha=0.5, xi=2.0))")
 
