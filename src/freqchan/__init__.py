@@ -40,7 +40,7 @@ from .rc_bounds import (
 )
 from .special_fn import log_gamma, psi_fn, zeta
 
-__version__ = "0.1.10"
+__version__ = "0.1.11"
 
 # The Monte Carlo layer needs numpy; the bounds above do not.  Its names
 # resolve on first access (PEP 562), so importing the package for the

@@ -19,8 +19,15 @@ parametric form (Information Theory and Reliable Communication, 1968,
 ch. 5): E = A'(xi) at the one xi in (0, xi_LB) where
 A - (1 + xi) A' = R, an increasing function of xi, so each R < R_LB
 takes one Newton root solve and E = 0 from R_LB on.
-Delta's q-infimum is the one numerical search left: one golden search
-on a bracket grown by doubling, with nothing to configure.
+
+Delta's q-infimum is one Newton root too.  With s = q/2,
+c = (2 pi)^(-s) zeta(s) = sum_k (2 pi k)^(-s) and Phi = log(1 + c), the
+objective h(q) = (1 - 1/q) Psi(r) + Phi(q)/q has h' = (Psi - K)/q^2 with
+K = Phi - q Phi'.  c is a Dirichlet series with positive terms, so it is
+log-convex, 1 + c is log-convex and Phi is convex: K' = -q Phi'' < 0.  K
+falls from +inf at q = 2 to 0 as q grows, so h has one stationary point,
+the root of log K = log Psi, which ``newton_root`` finds with zeta, zeta'
+and zeta'' from ``zeta_jet``.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ import functools
 import math
 
 from ._record import frozen
-# perfbench/tracer.py wraps rc_bounds.maximize_scalar; unused here.
-from .optimize import (OptimizerSettings, SearchInterval, maximize_scalar,
-                       minimize_scalar, newton_root)  # noqa: F401
-from .special_fn import log_gamma, psi_fn, zeta
+# perfbench/tracer.py wraps rc_bounds.maximize_scalar, minimize_scalar and
+# zeta; the two searches are unused here.
+from .optimize import maximize_scalar, minimize_scalar, newton_root  # noqa: F401
+from .special_fn import log_gamma, psi_fn, zeta, zeta_jet
 
 __all__ = [
     "BoundQuery",
@@ -49,9 +56,8 @@ __all__ = [
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
-# Delta's search: a 3-point grid and the golden polish on a bracket whose
-# end doubles from q = 4 at most _DELTA_DOUBLINGS times.
-_DELTA_SEARCH = OptimizerSettings(coarse_points=3)
+# Delta's root bracket (2, hi]: hi doubles from q = 4 at most
+# _DELTA_DOUBLINGS times.
 _DELTA_DOUBLINGS = 16
 
 
@@ -135,15 +141,34 @@ def _delta_objective(q: float, r: float) -> float:
     return (1.0 - 1.0 / q) * psi_fn(r) + math.log1p(correction) / q
 
 
+def _delta_slope(q: float, log_psi: float) -> tuple[float, float]:
+    """(log Psi - log K, its q-derivative q Phi''/K) at q, which has the
+    sign of h'(q) and increases in q."""
+    s = 0.5 * q
+    z, dz, d2z = zeta_jet(s)
+    c = math.exp(-s * _LOG_2PI) * z
+    if c == 0.0:
+        # c has underflowed, so K = 0 < Psi; the NaN slope makes
+        # newton_root bisect.
+        return math.inf, math.nan
+    # Phi_s = w u and Phi_ss = w (v + (1 - w) u^2), with w = c/(1 + c),
+    # u = (log c)_s and v = (log zeta)_ss.
+    dlog = dz / z
+    w, u = c / (1.0 + c), dlog - _LOG_2PI
+    k = math.log1p(c) - s * w * u
+    bend = 0.5 * s * w * (d2z / z - dlog * dlog + (1.0 - w) * u * u)
+    return log_psi - math.log(k), bend / k
+
+
 def delta_fn(r: float) -> float:
     """inf over q > 2 of (1 - 1/q) Psi(r) + (1/q) log(1 + (2 pi)^(-q/2) zeta(q/2)).
 
-    The objective h is unimodal in q.  hi doubles from 4 until
-    h(2 hi) >= h(hi), which puts the minimizer in (2, 2 hi]; one golden
-    search there gives the value.  The bracket is closed by q = 2048 at
-    the latest: once the zeta term underflows (q ~ 810), h = (1 - 1/q)
-    Psi(r) only grows.  Results are memoized per r; the value never
-    exceeds Psi(r), the q -> inf limit.
+    The objective h has one stationary point (see the module notes).  hi
+    doubles from 4 until h'(hi) >= 0, which puts it in (hi/2, hi], or in
+    (2, 4]; one ``newton_root`` from hi finds it and h there is the value.
+    The bracket is closed by q = 1024 at the latest: once the zeta term
+    underflows (q ~ 810), h = (1 - 1/q) Psi(r) only grows.  Results are
+    memoized per r; the value never exceeds Psi(r), the q -> inf limit.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
@@ -152,15 +177,15 @@ def delta_fn(r: float) -> float:
 
 @functools.lru_cache(maxsize=4096)
 def _delta_cached(r: float) -> float:
-    hi, h_hi = 4.0, _delta_objective(4.0, r)
-    for _ in range(_DELTA_DOUBLINGS):
-        h_next = _delta_objective(2.0 * hi, r)
-        if h_next >= h_hi:
-            _, value = minimize_scalar(
-                lambda q: _delta_objective(q, r),
-                SearchInterval(2.0, 2.0 * hi, open_lo=True), _DELTA_SEARCH)
-            return value
-        hi, h_hi = 2.0 * hi, h_next
+    log_psi = math.log(psi_fn(r))
+    # The bracket's end is Newton's start, so its jet is computed once.
+    slope = functools.lru_cache(maxsize=1)(
+        lambda q: _delta_slope(q, log_psi))
+    lo, hi = 2.0, 4.0
+    for _ in range(_DELTA_DOUBLINGS + 1):
+        if slope(hi)[0] >= 0.0:
+            return _delta_objective(newton_root(slope, lo, hi, hi), r)
+        lo, hi = hi, 2.0 * hi
     raise ArithmeticError(f"no bracket for Delta's q-infimum at r = {r}")
 
 

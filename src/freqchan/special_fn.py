@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["log_gamma", "psi_fn", "zeta"]
+__all__ = ["log_gamma", "psi_fn", "zeta", "zeta_jet"]
 
 # zeta sums 1 + 2^-s + ... directly from s = _ZETA_DIRECT on, stopping at
 # the first term below _ZETA_TERM_MIN (under a tenth of an ulp of 1).  Below
@@ -18,6 +18,9 @@ __all__ = ["log_gamma", "psi_fn", "zeta"]
 _ZETA_DIRECT = 20.0
 _ZETA_TERM_MIN = 1e-17
 _ZETA_N = 9.0
+_ZETA_LOG_N = math.log(_ZETA_N)
+# (k, log k) for the head terms, smallest first.
+_ZETA_HEAD = tuple((k, math.log(k)) for k in range(8, 1, -1))
 _ZETA_EM = tuple(
     (2.0 * j, b / (math.factorial(2 * j) * _ZETA_N ** (2 * j - 1)))
     for j, b in reversed(list(enumerate(
@@ -47,32 +50,67 @@ def log_gamma(t: float) -> float:
 
 def zeta(s: float) -> float:
     """Riemann zeta for s > 1, within ~5e-16 relative of a 40-digit
-    reference on (1 + 1e-8, 300].
+    reference on (1 + 1e-8, 300]; the first entry of ``zeta_jet``."""
+    return zeta_jet(s)[0]
+
+
+def zeta_jet(s: float) -> tuple[float, float, float]:
+    """(zeta(s), zeta'(s), zeta''(s)) for s > 1.
 
     A direct sum for s >= 20; below it Euler-Maclaurin past the head
-    1 + 2^-s + ... + 8^-s, whose terms are added smallest first.
+    1 + 2^-s + ... + 8^-s, whose terms are added smallest first, and the
+    same formula differentiated term by term in s (Edwards, Riemann's Zeta
+    Function, 1974, sec. 6.4).  The derivatives are within ~5e-15 relative
+    of a 30-digit reference below s = 20 and read 0 once 2^-s underflows
+    (s > 1074).
     """
     s = _checked("s", s)
     if s <= 1.0:
         raise ValueError(f"zeta requires s > 1, got {s}")
     if s >= _ZETA_DIRECT:
-        tail = 0.0
+        # The derivative sums run until (log k)^2 k^-s falls below
+        # _ZETA_TERM_MIN of its first term, past zeta's own stop.
+        tail = d1 = d2 = 0.0
+        log_k = math.log(2.0)
+        stop = _ZETA_TERM_MIN * log_k * log_k * 2.0 ** -s
         k = 2
         term = 2.0 ** -s
-        while term >= _ZETA_TERM_MIN:
-            tail += term
+        while log_k * log_k * term > stop:
+            if term >= _ZETA_TERM_MIN:
+                tail += term
+            d1 -= log_k * term
+            d2 += log_k * log_k * term
             k += 1
+            log_k = math.log(k)
             term = k ** -s
-        return 1.0 + tail
+        return 1.0 + tail, d1, d2
     # Horner: the (j + 1)-th product s ... (s + 2j) is the j-th times
-    # (s + 2j - 1)(s + 2j).
-    corr = 0.0
+    # p = (s + 2j - 1)(s + 2j); its s-derivatives follow from p' = 2s + 4j - 1
+    # and p'' = 2.
+    corr = dcorr = d2corr = 0.0
     for two_j, c in _ZETA_EM:
+        dp = 2.0 * (s + two_j) - 1.0
+        p = (s + two_j - 1.0) * (s + two_j)
+        d2corr = d2corr * p + 2.0 * (dcorr * dp + corr)
+        dcorr = dcorr * p + corr * dp
+        # Not corr * p: this order keeps zeta's bits.
         corr = c + corr * (s + two_j - 1.0) * (s + two_j)
-    total = _ZETA_N ** -s * (_ZETA_N / (s - 1.0) + 0.5 + corr * s)
-    for k in range(8, 1, -1):
-        total += k ** -s
-    return 1.0 + total
+    # N^-s a(s) and its derivatives N^-s (a' - a log N) and
+    # N^-s (a'' - (2 a' - a log N) log N).
+    inv, pole = 1.0 / (s - 1.0), _ZETA_N / (s - 1.0)
+    a = pole + 0.5 + corr * s
+    da = corr + s * dcorr - pole * inv
+    d2a = 2.0 * (dcorr + pole * inv * inv) + s * d2corr
+    scale = _ZETA_N ** -s
+    total = scale * a
+    d1 = scale * (da - a * _ZETA_LOG_N)
+    d2 = scale * (d2a - (2.0 * da - a * _ZETA_LOG_N) * _ZETA_LOG_N)
+    for k, log_k in _ZETA_HEAD:
+        term = k ** -s
+        total += term
+        d1 -= log_k * term
+        d2 += log_k * log_k * term
+    return 1.0 + total, d1, d2
 
 
 def psi_fn(t: float) -> float:

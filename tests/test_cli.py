@@ -196,6 +196,18 @@ class TestRatesCommand:
             r, rlb, conv = (float(c) for c in line.split(","))
             assert math.isfinite(rlb) and rlb < conv
 
+    def test_r_where_the_zeta_term_underflows(self, tmp_path):
+        # Delta's bracket here ends at q = 1024, past the underflow of the
+        # zeta term and of the Newton slope with it.
+        out = tmp_path / "rates.csv"
+        code = main(["rates", "--r", "1e-300:2e-300:1e-300",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        lines = _read(out).strip().split("\n")
+        assert len(lines) == 3
+        for line in lines[1:]:
+            assert all(math.isfinite(float(c)) for c in line.split(","))
+
     def test_no_budgets(self, tmp_path):
         out = tmp_path / "rates.csv"
         assert main(["rates", "--r", "10:20:10", "--out", str(out)]) == EXIT_OK

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from freqchan import rc_bounds
-from freqchan.optimize import minimize_scalar, newton_root
+from freqchan.optimize import newton_root
 from freqchan.rc_bounds import (BoundQuery, ExponentPoint, KlTailBound,
                          RcParams, delta_fn, lambda_fn, lemma1_tail_bound,
                          rate_lower_bound, rc_exponent,
@@ -16,6 +16,13 @@ from freqchan.special_fn import psi_fn
 LAMBDA_400_HALF_001 = 1.2231708410136708548
 LAMBDA_400_06_005 = 1.8896122818528123205
 LAMBDA_10_2_03 = 0.031962933190458876302
+# Delta(r) at 20 digits, rounded.
+DELTA_20_DIGITS = {
+    1.0: 0.9665917185890542006,
+    4.0: 1.6531003501927674816,
+    400.0: 4.2096048362846904687,
+    1e10: 13.227100945447117817,
+}
 
 
 def _delta_grid_oracle(r: float, points: int = 40000, q_hi: float = 2000.0):
@@ -99,27 +106,49 @@ class TestDeltaFn:
         assert math.isfinite(got) and 0.0 < got < psi_fn(1e-200)
         assert got == pytest.approx(_delta_grid_oracle(1e-200), rel=1e-7)
 
-    @pytest.mark.parametrize("r", [0.01, 1.0, 400.0, 1e5, 1e8])
-    def test_one_bracketed_search(self, r, monkeypatch):
-        objective, calls, searches = rc_bounds._delta_objective, [], []
+    @pytest.mark.parametrize("r, want", sorted(DELTA_20_DIGITS.items()))
+    def test_within_an_ulp_of_the_reference(self, r, want):
+        assert abs(delta_fn(r) - want) <= math.ulp(want)
 
-        def counted_objective(q, r):
-            calls.append(q)
-            return objective(q, r)
+    @pytest.mark.parametrize("r", [1e-200, 1e-6, 1.0, 400.0, 1e10])
+    def test_stationarity_increases_in_q(self, r):
+        # h' has the sign of the Newton target, which increases from below
+        # 0 to +inf (where the zeta term underflows), so h has one minimum.
+        log_psi = math.log(psi_fn(r))
+        q = 2.0 + np.logspace(-6.0, math.log10(2046.0), 400)
+        vals = [rc_bounds._delta_slope(float(x), log_psi)[0] for x in q]
+        assert vals[0] < 0.0 and vals[-1] == math.inf
+        assert all(a < b or a == b == math.inf
+                   for a, b in zip(vals, vals[1:]))
 
-        def counted_search(*args):
-            searches.append(args)
-            return minimize_scalar(*args)
+    @pytest.mark.parametrize("lo, hi, most", [(-10.0, 10.0, 12),
+                                              (-200.0, 300.0, 30)],
+                             ids=["1e-10..1e10", "1e-200..1e300"])
+    def test_jet_evaluations_per_r(self, lo, hi, most, monkeypatch):
+        jet, calls = rc_bounds.zeta_jet, []
 
-        monkeypatch.setattr(rc_bounds, "_delta_objective", counted_objective)
-        monkeypatch.setattr(rc_bounds, "minimize_scalar", counted_search)
-        rc_bounds._delta_cached.cache_clear()
-        delta_fn(r)
-        assert len(searches) == 1
-        assert 0 < len(calls) <= 80
+        def counted_jet(s):
+            calls.append(s)
+            return jet(s)
+
+        monkeypatch.setattr(rc_bounds, "zeta_jet", counted_jet)
+        for r in np.logspace(lo, hi, 101):
+            rc_bounds._delta_cached.cache_clear()
+            calls.clear()
+            delta_fn(float(r))
+            assert 0 < len(calls) <= most, r
+
+    @pytest.mark.parametrize("r", [1e-300, 5e-324])
+    def test_underflowed_zeta_term(self, r):
+        # The zeta term, and the Newton slope with it, underflow near
+        # q = 810, where the root solve bisects; at r = 5e-324 the root
+        # itself is there.
+        got = delta_fn(r)
+        assert math.isfinite(got) and 0.0 < got <= psi_fn(r)
 
     def test_unbounded_descent_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(rc_bounds, "_delta_objective", lambda q, r: -q)
+        monkeypatch.setattr(rc_bounds, "_delta_slope",
+                            lambda q, log_psi: (-q, 1.0))
         rc_bounds._delta_cached.cache_clear()
         with pytest.raises(ArithmeticError):
             delta_fn(3.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from freqchan.special_fn import log_gamma, psi_fn, zeta
+from freqchan.special_fn import log_gamma, psi_fn, zeta, zeta_jet
 
 # High-precision reference values (40-digit arithmetic, rounded).
 ZETA_3_2 = 2.6123753486854883433
@@ -35,6 +35,14 @@ ZETA_40_DIGITS = {
     20.001: 1.00000095330091007088,
     35.0: 1.00000000002910385044,
     64.5: 1.0,
+}
+# (zeta'(s), zeta''(s)) at 30 digits, rounded: three points of the
+# Euler-Maclaurin branch, one of the direct sum.
+ZETA_JET_30_DIGITS = {
+    2.0: (-0.9375482543158437537, 1.9892802342989010234),
+    1.05: (-399.92767119173027718, 15999.990209835167668),
+    5.5: (-0.019028339813333910684, 0.015175093334873645186),
+    25.0: (-2.0658693595011039935e-8, 1.4320041812523579799e-8),
 }
 
 
@@ -99,6 +107,41 @@ class TestZeta:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             zeta(bad)
+
+
+class TestZetaJet:
+    @pytest.mark.parametrize("s, want", sorted(ZETA_JET_30_DIGITS.items()))
+    def test_matches_30_digit_reference(self, s, want):
+        _, d1, d2 = zeta_jet(s)
+        assert d1 == pytest.approx(want[0], rel=1e-14, abs=0.0)
+        assert d2 == pytest.approx(want[1], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("s", [40.0, 42.0, 44.0])
+    def test_direct_sum_matches_central_differences(self, s):
+        # Richardson-extrapolated differences of zeta, whose values here
+        # are 1 + 2^-s + ... with 2^-s near 1e-13: good to ~3e-3.
+        h = 0.5
+
+        def slope(h):
+            return (zeta(s + h) - zeta(s - h)) / (2.0 * h)
+
+        def bend(h):
+            return (zeta(s + h) - 2.0 * zeta(s) + zeta(s - h)) / (h * h)
+
+        _, d1, d2 = zeta_jet(s)
+        assert d1 == pytest.approx((4.0 * slope(h) - slope(2.0 * h)) / 3.0,
+                                   rel=1e-2)
+        assert d2 == pytest.approx((4.0 * bend(h) - bend(2.0 * h)) / 3.0,
+                                   rel=1e-2)
+
+    @pytest.mark.parametrize("s", [100.0, 300.0, 1000.0])
+    def test_leading_term_at_large_s(self, s):
+        # 3^-s / 2^-s = (2/3)^s < 3e-18 from s = 100 on.
+        _, d1, d2 = zeta_jet(s)
+        log_2 = math.log(2.0)
+        assert d1 == pytest.approx(-log_2 * 2.0 ** -s, rel=1e-15, abs=0.0)
+        assert d2 == pytest.approx(log_2 * log_2 * 2.0 ** -s, rel=1e-15,
+                                   abs=0.0)
 
 
 class TestPsiFn:
