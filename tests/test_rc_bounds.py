@@ -121,6 +121,33 @@ class TestDeltaFn:
         assert all(a < b or a == b == math.inf
                    for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("r", [0.01, 1.0, 400.0, 1e5, 1e8])
+    def test_one_bracketed_search(self, r, monkeypatch):
+        # One bracketed Newton root per r, no scalar minimization, and h
+        # evaluated once, at the root.
+        objective, calls, searches = rc_bounds._delta_objective, [], []
+
+        def counted_objective(q, r):
+            calls.append(q)
+            return objective(q, r)
+
+        def counted_root(*args):
+            searches.append(args)
+            return newton_root(*args)
+
+        def no_minimize(*args, **kwargs):
+            raise AssertionError("delta_fn called minimize_scalar")
+
+        monkeypatch.setattr(rc_bounds, "_delta_objective", counted_objective)
+        monkeypatch.setattr(rc_bounds, "newton_root", counted_root)
+        monkeypatch.setattr(rc_bounds, "minimize_scalar", no_minimize)
+        rc_bounds._delta_cached.cache_clear()
+        delta_fn(r)
+        assert len(searches) == 1
+        _, lo, hi, start = searches[0]
+        assert 2.0 <= lo < hi and start == hi
+        assert len(calls) == 1 and lo < calls[0] <= hi
+
     @pytest.mark.parametrize("lo, hi, most", [(-10.0, 10.0, 12),
                                               (-200.0, 300.0, 30)],
                              ids=["1e-10..1e10", "1e-200..1e300"])
