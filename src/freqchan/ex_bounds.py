@@ -9,8 +9,8 @@ crossing G(lam sigma) = J(sigma) at the root sigma < 1 of J(sigma) = G
 lam = x / sigma, where L(lam) = G; and the S crossing at
 rho = r log(1 / lam) / G, where S(r, rho) = G.  x, G and lam increase in
 kappa and rho decreases, so ``g_fn``, ``l_fn`` and ``s_fn`` each invert
-one of them by safeguarded Newton steps, and ``ex_exponent`` inverts the
-increasing rate R(kappa) at which rho (G - R) peaks along the path.
+one of them by safeguarded Newton steps; ``ex_exponent`` reads cached rho ends
+and between them inverts the rate R(kappa) at which rho (G - R) peaks.
 """
 
 from __future__ import annotations
@@ -162,12 +162,14 @@ def _chain(kappa: float) -> tuple[float, float, float, float, float, float]:
     return x, dx, lam, (dx - lam * dsigma) / sigma, g, sigma
 
 
-def _rate(kappa: float, R: float = 0.0) -> tuple[float, float]:
-    """(R(kappa) - R, R'(kappa)), where R(kappa) = G^2 p / (G p + G' ell)
-    with p = lam' / lam and ell = log(1 / lam).  rho (G - R) = r ell (1 -
-    R / G) has a kappa-derivative of the sign of R - R(kappa); R(kappa) is
-    convex and increasing in kappa and does not depend on r."""
-    x, dx, lam, dlam, g, sigma = _chain(kappa)
+def _rate(kappa: float, R: float = 0.0, chain: tuple = ()) -> tuple:
+    """(R(kappa) - R, R'(kappa)) from ``chain`` (else _chain(kappa)), where
+    R(kappa) = G^2 p / (G p + G' ell), p = lam' / lam, ell = -log lam, is
+    the rate at which rho (G - R) peaks: convex, increasing, free of r, and
+    0 (R ~ kappa^3) with a NaN slope where sigma rounds to 1."""
+    x, dx, lam, dlam, g, sigma = chain or _chain(kappa)
+    if sigma == 1.0:
+        return -R, math.nan
     # (1 - kappa^2) F' = 2/pi + kappa F, differentiated twice, gives x''.
     d2x = ((3.0 * x + 5.0 * kappa * dx + 2.0 * kappa * x * x)
            / ((1.0 - kappa) * (1.0 + kappa)) - 2.0 * x * dx)
@@ -192,18 +194,16 @@ def _kappa_at(level: int, target: float, start: float) -> float:
 
 
 @functools.lru_cache(maxsize=4096)
-def _kappa_at_rho(r: float, rho: float) -> float:
-    """kappa with rho(kappa) = rho: the root of rho G + r log lam.
-
-    Cached: ex_exponent solves the same two rho ends at every rate of a
-    sweep at one (r, rho_max).
-    """
-
+def _end(r: float, rho: float) -> tuple[float, float, tuple]:
+    """(kappa, R(kappa), _chain(kappa)) at the root of rho G + r log lam;
+    cached, since s_fn and every rate of an ex_exponent sweep read it."""
     def phi(kappa: float) -> tuple[float, float]:
         _, dx, lam, dlam, g, _ = _chain(kappa)
         return rho * g + r * math.log(lam), rho * kappa * dx + r * dlam / lam
 
-    return newton_root(phi, 0.0, 1.0, _KAPPA_START)
+    kappa = newton_root(phi, 0.0, 1.0, _KAPPA_START)
+    chain = _chain(kappa)
+    return kappa, _rate(kappa, 0.0, chain)[0], chain
 
 
 def g_fn(x: float) -> float:
@@ -250,13 +250,12 @@ def s_fn(r: float, rho: float) -> float:
     is the height of their crossing, G(kappa) at rho(kappa) = rho; it is
     positive and decreasing in rho.
     """
-    r = float(r)
-    rho = float(rho)
+    r, rho = float(r), float(rho)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     if not (math.isfinite(rho) and rho > 1.0):
         raise ValueError(f"rho must exceed 1, got {rho}")
-    return _chain(_kappa_at_rho(r, rho))[4]
+    return _end(r, rho)[2][4]
 
 
 def ex_exponent(query: BoundQuery,
@@ -264,32 +263,33 @@ def ex_exponent(query: BoundQuery,
     """max(0, sup over rho in (1, rho_max] of rho (S(r, rho) - R)).
 
     Between R(kappa(rho_max)) and R(kappa(1)) the supremum is at the root
-    of R(kappa) = R, and from R(kappa(1)) on at the rho = 1 end.  At or
-    below R(kappa(rho_max)) it is the rho_max end, flagged ``rho_capped``:
-    the value then depends on the configured cap, not a converged supremum.
+    of R(kappa) = R, beyond them at the cached rho = 1 or rho_max end.  The
+    latter is flagged ``rho_capped`` (the value depends on the cap, not a
+    converged supremum), and is a ValueError where G there rounds to 0.
 
-    r must lie in [1e-10, 1e10].  Above, lam at the rho = 1 end is within
-    1.5e-12 of 1 and ell = log(1 / lam) keeps under four digits (none from
-    r ~ 1e17, where lam rounds to 1); below, G at the rho_max end is a
-    difference of terms over 5e6 times its size.
+    r must lie in [1e-10, 1e10].  Above, ell = log(1 / lam) at the rho = 1
+    end keeps under four digits (none from r ~ 1e17, where lam rounds to
+    1); below, G at the rho_max end is a difference of terms 5e6 its size.
     """
     R, r = query.R, query.r
     if not 1e-10 <= r <= 1e10:
         raise ValueError(f"r must lie in [1e-10, 1e10], got {r}")
-    settings = settings or ExSettings()
-    kappa = k_cap = _kappa_at_rho(r, settings.rho_max)
-    capped = R <= _rate(k_cap)[0]
+    rho_max = (settings or ExSettings).rho_max
+    k_cap, rate, chain = _end(r, rho_max)
+    kappa, capped = k_cap, R <= rate
     if not capped:
-        kappa = k_one = _kappa_at_rho(r, 1.0)
-        if R < _rate(k_one)[0]:
+        kappa, rate, chain = _end(r, 1.0)
+        if R < rate:
             # Newton steps from the right of a convex root do not overshoot.
-            kappa = newton_root(lambda k: _rate(k, R), k_cap, k_one, k_one)
-    _, _, lam, _, g, sigma = _chain(kappa)
+            kappa = newton_root(lambda k: _rate(k, R), k_cap, kappa, kappa)
+            chain = _chain(kappa)
+    _, _, lam, _, g, sigma = chain
+    if sigma == 1.0:
+        raise ValueError(f"rho_max {rho_max:g} is too large at r = {r:g}")
     ell = math.log(1.0 / lam)
-    # Near rho = 1, lam is near 1 and log(1 / lam) keeps only ~1e-11 of
-    # relative accuracy, so rounding can push rho just outside (1, rho_max].
-    rho = min(max(r * ell / g, math.nextafter(1.0, 2.0)), settings.rho_max)
-    witness = ExParams(kappa=kappa, sigma=sigma, lam=lam,
-                       rho=settings.rho_max if capped else rho)
+    # Rounding in ell near rho = 1 can push rho just outside (1, rho_max].
+    rho = rho_max if capped else min(
+        max(r * ell / g, math.nextafter(1.0, 2.0)), rho_max)
+    witness = ExParams(kappa=kappa, sigma=sigma, lam=lam, rho=rho)
     return ExExponentPoint(R=R, E=max(r * ell * (1.0 - R / g), 0.0),
                            argmax=witness, rho_capped=capped)

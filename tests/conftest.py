@@ -26,3 +26,13 @@ def address_space_cap():
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.fixture
+def cold_bound_caches():
+    """Empty the cached rho-end records of ``ex_bounds`` and the cached
+    Delta of ``rc_bounds`` before a test, so that a test counting
+    evaluations sees the same work whichever tests ran before it."""
+    from freqchan import ex_bounds, rc_bounds
+    ex_bounds._end.cache_clear()
+    rc_bounds._delta_cached.cache_clear()

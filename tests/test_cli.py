@@ -479,6 +479,15 @@ class TestModuleEntryPoint:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_huge_rho_max_has_no_traceback(self, tmp_path):
+        # G at a rho_max end this far out rounds to 0: the capped rate 0
+        # is refused, never a ZeroDivisionError.
+        proc = self._run("exponents", "--r", "400", "--rate", "0:0.02:0.01",
+                         "--which", "ex", "--rho-max", "1e100",
+                         "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode in (EXIT_OK, EXIT_USAGE), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exit_code(self, tmp_path):
         proc = self._run("exponents", "--r", "inf", "--rate", "0:0.01:0.01",
                          "--out", str(tmp_path / "x.csv"))

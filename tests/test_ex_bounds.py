@@ -11,6 +11,8 @@ from freqchan.ex_bounds import (MEAN_ABS_XY, ExParams, ExSettings,
                                 s_fn)
 from freqchan.rc_bounds import BoundQuery
 
+pytestmark = pytest.mark.usefixtures("cold_bound_caches")
+
 # High-precision reference values (40-digit arithmetic, rounded).
 F_02 = 1.1514524984457282451
 F_05 = 1.5396007178390020387
@@ -152,14 +154,7 @@ class TestSigma:
         # the Newton steps in kappa into bisections (61 chain evaluations
         # per l_fn when sigma came from scipy's lambertw), and a start far
         # above the root bisects down to kappa ~ 1e-6 (24 from 0.2).
-        chain = ex_bounds._chain
-        calls = []
-
-        def counted(kappa):
-            calls[-1] += 1
-            return chain(kappa)
-
-        monkeypatch.setattr(ex_bounds, "_chain", counted)
+        calls = _counted_chain(monkeypatch)
         for lam in np.linspace(MEAN_ABS_XY + 1e-6, 1.0, 2001,
                                endpoint=False):
             calls.append(0)
@@ -362,6 +357,30 @@ class TestExExponent:
             with pytest.raises(ValueError, match="r must lie in"):
                 ex_exponent(BoundQuery(R=0.0, r=r))
 
+    def test_huge_cap_is_a_value_or_a_value_error(self):
+        # From a cap of ~1e22 on, G at the rho_max end can round to 0 or
+        # below and sigma to 1, where R(kappa) is its kappa -> 0 limit 0.
+        # Every decade of rho_max gives a finite E >= 0 or, for a capped
+        # rate only, a ValueError.  At R = 0, E does not fall as the cap
+        # grows, and stays under its supremum r log(pi / 2).
+        refused = 0
+        for r in (1e-10, 1.0, 400.0, 1e10):
+            top, last = r * math.log(math.pi / 2.0) * (1.0 + 1e-15), 0.0
+            for d in range(2, 309):
+                settings = ExSettings(rho_max=float(f"1e{d}"))
+                for R in (0.0, 0.005, 0.012, 0.05):
+                    try:
+                        pt = ex_exponent(BoundQuery(R=R, r=r), settings)
+                    except ValueError as exc:
+                        assert R == 0.0 and "rho_max" in str(exc)
+                        refused += 1
+                        continue
+                    assert math.isfinite(pt.E) and pt.E >= 0.0
+                    if R == 0.0:
+                        assert last * (1.0 - 1e-15) <= pt.E <= top
+                        last = pt.E
+        assert refused > 0
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ExParams(kappa=0.0, sigma=0.5, lam=0.5, rho=2.0)
@@ -369,6 +388,18 @@ class TestExExponent:
             ExParams(kappa=0.5, sigma=0.5, lam=0.5, rho=1.0)
         with pytest.raises(ValueError):
             ExSettings(rho_max=1.0)
+
+
+def _counted_chain(monkeypatch) -> list[int]:
+    """Count ``_chain`` calls into the last entry of the returned list."""
+    chain, calls = ex_bounds._chain, []
+
+    def counted(kappa):
+        calls[-1] += 1
+        return chain(kappa)
+
+    monkeypatch.setattr(ex_bounds, "_chain", counted)
+    return calls
 
 
 class TestRateRoot:
@@ -448,50 +479,78 @@ class TestRateRoot:
                                                  rel=1e-9, abs=1e-12)
 
     def test_chain_calls_per_rate(self, monkeypatch):
-        # Two rho solves and one Newton root; a bisection-only root takes
-        # ~40 chain calls, the 512-point kappa scan it replaces 544.
-        chain = ex_bounds._chain
-        calls = []
-
-        def counted(kappa):
-            calls[-1] += 1
-            return chain(kappa)
-
-        monkeypatch.setattr(ex_bounds, "_chain", counted)
+        # From cold records: the rho_max end at the first rate, the rho = 1
+        # end at the first rate above the capped range, then one Newton
+        # root and one chain call per interior rate and none at either end.
+        # A bisection-only root takes ~40 chain calls, the 512-point kappa
+        # scan it replaced 544.
+        calls = _counted_chain(monkeypatch)
         for r in self.RATIOS:
             calls.clear()
             for R in np.linspace(0.0, 0.02, 81):
                 calls.append(0)
                 ex_exponent(BoundQuery(R=float(R), r=r))
-            assert max(calls) <= 30
-            assert np.median(calls) <= 20
+            assert max(calls) <= 18
+            assert np.median(calls) <= 7
 
     def test_rho_end_cache_is_bitwise(self, monkeypatch):
-        # The ex-curve sweep: rates on [0, 0.05] at r = 400 and on
-        # [0, 0.02] at r = 100, the same points with and without the cache.
-        queries = [BoundQuery(R=float(R), r=r)
-                   for r, top, k in ((400.0, 0.05, 45), (100.0, 0.02, 5))
-                   for R in np.linspace(0.0, top, k)]
-        ex_bounds._kappa_at_rho.cache_clear()
-        cached = [ex_exponent(q) for q in queries]
-        monkeypatch.setattr(ex_bounds, "_kappa_at_rho",
-                            ex_bounds._kappa_at_rho.__wrapped__)
-        assert [ex_exponent(q) for q in queries] == cached
-        assert any(p.rho_capped for p in cached)
-        assert any(0.0 < p.E and not p.rho_capped for p in cached)
+        # The ex-curve sweep (rates on [0, 0.05] at r = 400 and on [0, 0.02]
+        # at r = 100), and at each cap and r one rate on each branch:
+        # capped, interior root, the rho = 1 end with E > 0, and E = 0.  The
+        # same points with and without the cache.
+        cases = [(BoundQuery(R=float(R), r=r), None)
+                 for r, top, k in ((400.0, 0.05, 45), (100.0, 0.02, 5))
+                 for R in np.linspace(0.0, top, k)]
+        groups = []
+        for rho_max in (2.0, 100.0, 1000.0):
+            for r in (1e-10, 1.0, 100.0, 400.0, 1e10):
+                r_cap = ex_bounds._end(r, rho_max)[1]
+                k_one, r_one, chain = ex_bounds._end(r, 1.0)
+                groups.append((len(cases), k_one))
+                cases += [(BoundQuery(R=R, r=r), ExSettings(rho_max=rho_max))
+                          for R in (0.5 * r_cap, 0.5 * (r_cap + r_one),
+                                    0.5 * (r_one + chain[4]), 2.0 * chain[4])]
+        ex_bounds._end.cache_clear()
+        cached = [ex_exponent(q, settings) for q, settings in cases]
+        monkeypatch.setattr(ex_bounds, "_end", ex_bounds._end.__wrapped__)
+        assert [ex_exponent(q, settings) for q, settings in cases] == cached
+        for i, k_one in groups:
+            capped, inner, one, zero = cached[i:i + 4]
+            assert capped.rho_capped
+            assert not inner.rho_capped and inner.argmax.kappa < k_one
+            assert one.argmax.kappa == k_one and one.E > 0.0
+            assert zero.argmax.kappa == k_one and zero.E == 0.0
+
+    def test_cached_ends_need_no_chain_call(self, monkeypatch):
+        ends = {r: (ex_bounds._end(r, 1000.0), ex_bounds._end(r, 1.0))
+                for r in self.RATIOS}
+        calls = _counted_chain(monkeypatch)
+        for r, ((_, r_cap, _), (_, r_one, chain)) in ends.items():
+            calls.clear()
+            # Capped rates, then rates at the rho = 1 end.
+            for R in (0.0, 0.5 * r_cap, r_cap, r_one,
+                      0.5 * (r_one + chain[4]), 2.0 * chain[4]):
+                calls.append(0)
+                ex_exponent(BoundQuery(R=R, r=r))
+            assert calls == [0] * 6
+
+    def test_first_capped_rate_solves_only_the_cap_end(self, monkeypatch):
+        end, seen = ex_bounds._end, []
+
+        def spied(r, rho):
+            seen.append((r, rho))
+            return end(r, rho)
+
+        monkeypatch.setattr(ex_bounds, "_end", spied)
+        assert ex_exponent(BoundQuery(R=0.0, r=400.0)).rho_capped
+        assert seen == [(400.0, 1000.0)]
+        assert end.cache_info().currsize == 1
 
     def test_second_rate_reuses_the_rho_ends(self, monkeypatch):
-        chain = ex_bounds._chain
-        calls = []
-
-        def counted(kappa):
-            calls[-1] += 1
-            return chain(kappa)
-
-        monkeypatch.setattr(ex_bounds, "_chain", counted)
-        ex_bounds._kappa_at_rho.cache_clear()
+        calls = _counted_chain(monkeypatch)
         for R in (0.013, 0.014):  # interior roots: both rho ends solved
             calls.append(0)
             pt = ex_exponent(BoundQuery(R=R, r=400.0))
             assert pt.E > 0.0 and not pt.rho_capped
         assert calls[1] < calls[0] / 2
+        assert ex_bounds._end.cache_info().currsize == 2
