@@ -414,8 +414,8 @@ def ml_decode(counts: SampleCounts, codebook: Codebook) -> int:
     return int(_decode(counts.counts[None, :], _log(codebook.codewords))[0])
 
 
-def _wilson_ci(errors: int, trials: int,
-               z: float = _WILSON_Z) -> tuple[float, float]:
+def _wilson_ci(errors: int, trials: int) -> tuple[float, float]:
+    z = _WILSON_Z
     p_hat = errors / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denom

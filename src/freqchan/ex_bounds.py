@@ -50,6 +50,11 @@ _SERIES = tuple(1.0 / k for k in range(15, 1, -1))
 _SIGMA_RTOL = 1e-8
 _SIGMA_ITERS = 20
 
+# s_fn refuses larger rho / r: S is then a G far below the terms of
+# kappa x - log F that give it.  Up to 1e20, S is within 6e-6 relative of
+# its limit r log(pi/2) / rho; it is 20% off by 1e29 and below 0 from ~1e32.
+_S_RHO_PER_R_MAX = 1e20
+
 
 @frozen
 class ExSettings:
@@ -248,13 +253,16 @@ def s_fn(r: float, rho: float) -> float:
 
     The first branch decreases in lam, L is nondecreasing, so the value
     is the height of their crossing, G(kappa) at rho(kappa) = rho; it is
-    positive and decreasing in rho.
+    positive and decreasing in rho.  rho / r must not exceed 1e20.
     """
     r, rho = float(r), float(rho)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     if not (math.isfinite(rho) and rho > 1.0):
         raise ValueError(f"rho must exceed 1, got {rho}")
+    if rho > _S_RHO_PER_R_MAX * r:
+        raise ValueError(f"rho / r must be at most {_S_RHO_PER_R_MAX:g}, "
+                         f"got rho = {rho}, r = {r}")
     return _end(r, rho)[2][4]
 
 

@@ -312,6 +312,19 @@ class TestSFn:
             s_fn(0.0, 10.0)
         with pytest.raises(ValueError):
             s_fn(400.0, 1.0)
+        # rho / r above 1e20, where S is rounding noise: -5.7e-33 and 1e-32.
+        with pytest.raises(ValueError, match="rho / r"):
+            s_fn(400.0, 1e34)
+        with pytest.raises(ValueError, match="rho / r"):
+            s_fn(1e-300, 2.0)
+
+    @pytest.mark.parametrize("r", [1e-10, 1e-5, 1.0, 400.0, 1e5, 1e10])
+    def test_largest_rho_meets_its_limit(self, r):
+        # S -> r log(pi/2) / rho as rho / r grows; at the 1e20 bound it is
+        # still within 6e-6 relative of that limit.
+        rho = 1e20 * r
+        assert s_fn(r, rho) == pytest.approx(
+            r * math.log(math.pi / 2.0) / rho, rel=1e-5)
 
 
 class TestExExponent:

@@ -21,8 +21,7 @@ PSI_40_DIGITS = {
     1e16: 37.84136148790473099428786327494982565495,
     1e300: 691.7755278982137052579021966605136811507,
 }
-# zeta at the double nearest each s, around the s = 20 seam of the two
-# evaluation branches and near the pole.
+# zeta at the double nearest each s, around s = 20 and near the pole.
 ZETA_40_DIGITS = {
     1.00000001: 100000001.184962766415,
     1.001: 1000.57728847601162685,
@@ -36,13 +35,16 @@ ZETA_40_DIGITS = {
     35.0: 1.00000000002910385044,
     64.5: 1.0,
 }
-# (zeta'(s), zeta''(s)) at 30 digits, rounded: three points of the
-# Euler-Maclaurin branch, one of the direct sum.
+# (zeta'(s), zeta''(s)) at 30 digits, rounded (s = 20, 30 and 60 from
+# mpmath 1.3.0 at 40 digits).
 ZETA_JET_30_DIGITS = {
     2.0: (-0.9375482543158437537, 1.9892802342989010234),
     1.05: (-399.92767119173027718, 15999.990209835167668),
     5.5: (-0.019028339813333910684, 0.015175093334873645186),
     25.0: (-2.0658693595011039935e-8, 1.4320041812523579799e-8),
+    20.0: (-6.613530207367107733e-7, 4.5854362516394898709e-7),
+    30.0: (-6.4554895388000302749e-10, 4.4746260164732366136e-10),
+    60.0: (-6.0120934323815200074e-19, 4.167265612023295429e-19),
 }
 
 
@@ -79,7 +81,7 @@ class TestZeta:
         assert zeta(1.01) == pytest.approx(ZETA_1_01, rel=1e-10)
 
     def test_matches_scipy_on_grid(self):
-        # Both branches and the s = 20 seam.  scipy is itself up to ~9e-16
+        # Around s = 20 and up to 300.  scipy is itself up to ~9e-16
         # off a 40-digit reference here (s near 4), while zeta stays within
         # ~5e-16, so the tight bound is the one against 40 digits below.
         grid = np.concatenate([
@@ -142,6 +144,11 @@ class TestZetaJet:
         assert d1 == pytest.approx(-log_2 * 2.0 ** -s, rel=1e-15, abs=0.0)
         assert d2 == pytest.approx(log_2 * log_2 * 2.0 ** -s, rel=1e-15,
                                    abs=0.0)
+
+    @pytest.mark.parametrize("s", [1075.0, 2000.0, 1e24, 1e300])
+    def test_one_and_zeros_once_two_to_minus_s_underflows(self, s):
+        assert zeta_jet(s) == (1.0, 0.0, 0.0)
+        assert zeta(s) == 1.0
 
 
 class TestPsiFn:
