@@ -19,13 +19,6 @@ from .ex_bounds import (
     l_fn,
     s_fn,
 )
-from .optimize import (
-    EvaluationError,
-    OptimizerSettings,
-    SearchInterval,
-    maximize_scalar,
-    minimize_scalar,
-)
 from .rc_bounds import (
     BoundQuery,
     ExponentPoint,
@@ -46,10 +39,10 @@ __version__ = "0.1.11"
 # resolve on first access (PEP 562), so importing the package for the
 # bounds alone never loads numpy.
 _CHANNEL_NAMES = (
-    "BcTailReport", "Codebook", "MomentReport", "SampleCounts", "SimConfig",
-    "SimReport", "TailReport", "dirichlet_product_moment", "estimate_bc_tail",
-    "estimate_error_probability", "estimate_kl_tail",
-    "estimate_product_moment", "kl_divergence", "ml_decode",
+    "BcTailReport", "Codebook", "DecodeError", "MomentReport", "SampleCounts",
+    "SimConfig", "SimReport", "TailReport", "dirichlet_product_moment",
+    "estimate_bc_tail", "estimate_error_probability", "estimate_kl_tail",
+    "estimate_product_moment", "kl_divergence", "ml_decode", "wilson_std_err",
 )
 
 

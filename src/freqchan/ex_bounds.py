@@ -19,7 +19,8 @@ import functools
 import math
 
 from ._record import frozen
-# perfbench/tracer.py wraps ex_bounds.maximize_scalar; unused here.
+# perfbench/tracer.py wraps ex_bounds.maximize_scalar;
+# tests/test_bench_bindings.py keeps the unused search bound here.
 from .optimize import maximize_scalar, newton_root  # noqa: F401
 from .rc_bounds import BoundQuery
 

@@ -1,11 +1,11 @@
-"""Deterministic scalar optimization and root finding on intervals.
+"""Deterministic scalar maximization and root finding on intervals.
 
 ``maximize_scalar`` scans a coarse grid and refines the best cell by
-golden section.  It is derivative-free on purpose: its objectives
-contain inner optimizations and root solves, so gradients would be
-noisy and fragile.  ``newton_root`` is the package's one root-finder:
-safeguarded Newton steps on an increasing function whose slope is
-known in closed form, falling back to bisection of the bracket.
+golden section.  No bound calls it: it is the search that acceptance
+criterion 04 and the tests use to locate the peak of the finite-budget
+baseline.  ``newton_root`` is the package's root-finder: safeguarded
+Newton steps on an increasing function whose slope is known in closed
+form, falling back to bisection of the bracket.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ __all__ = [
     "OptimizerSettings",
     "SearchInterval",
     "maximize_scalar",
-    "minimize_scalar",
     "newton_root",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# A safety cap on golden-section steps; searches stop on ``tol`` first.
+_REFINE_ITERS = 80
 
 # Newton steps converge quadratically, so once a step is below
 # _ROOT_RTOL the next would be at rounding.
@@ -43,11 +44,10 @@ class EvaluationError(RuntimeError):
 
 @frozen
 class SearchInterval:
-    """A 1-D search domain; an open lower end is approached via an inset."""
+    """A closed 1-D search domain [lo, hi]."""
 
     lo: float
     hi: float
-    open_lo: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -55,33 +55,19 @@ class SearchInterval:
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
-    def effective_bounds(self, margin: float) -> tuple[float, float]:
-        """Shrink an open lower end inward by ``margin`` of the width."""
-        if self.open_lo:
-            return self.lo + margin * (self.hi - self.lo), self.hi
-        return self.lo, self.hi
-
 
 @frozen
 class OptimizerSettings:
-    """Coarse grid size, golden-section iteration cap and relative
-    tolerance of ``maximize_scalar``, and the inset of an open lower end
-    as a share of the interval's width."""
+    """Coarse grid size and relative tolerance of ``maximize_scalar``."""
 
     coarse_points: int = 512
-    refine_iters: int = 80
     tol: float = 1e-9
-    open_margin: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.coarse_points < 3:
             raise ValueError("coarse_points must be at least 3")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be nonnegative")
         if not 0.0 < self.tol:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.open_margin < 0.5:
-            raise ValueError("open_margin must lie in (0, 0.5)")
 
 
 def maximize_scalar(
@@ -93,13 +79,14 @@ def maximize_scalar(
 
     Scans ``coarse_points`` evenly spaced points (the last one exactly
     ``hi``), then polishes the two cells around the best one by golden
-    section.  Non-finite objective values are treated as -inf; if the
-    entire coarse grid is non-finite an EvaluationError carrying the
-    first offending point is raised.  The returned value is the best
-    value actually evaluated, so it is never below any coarse-grid value.
+    section, for at most ``_REFINE_ITERS`` steps.  Non-finite objective
+    values are treated as -inf; if the entire coarse grid is non-finite
+    an EvaluationError carrying the first offending point is raised.
+    The returned value is the best value actually evaluated, so it is
+    never below any coarse-grid value.
     """
     settings = settings or OptimizerSettings()
-    lo, hi = interval.effective_bounds(settings.open_margin)
+    lo, hi = interval.lo, interval.hi
     m = settings.coarse_points
     step = (hi - lo) / (m - 1)
     grid = [lo + i * step for i in range(m - 1)] + [hi]
@@ -128,7 +115,7 @@ def maximize_scalar(
     d = a + _INV_PHI * (b - a)
     fc = probe(c)
     fd = probe(d)
-    for _ in range(settings.refine_iters):
+    for _ in range(_REFINE_ITERS):
         if b - a <= settings.tol * max(1.0, abs(a) + abs(b)):
             break
         if fc >= fd:
@@ -141,16 +128,6 @@ def maximize_scalar(
             fd = probe(d)
 
     return best_x, best_v
-
-
-def minimize_scalar(
-    objective: Callable[[float], float],
-    interval: SearchInterval,
-    settings: OptimizerSettings | None = None,
-) -> tuple[float, float]:
-    """Return (argmin, value); implemented as maximization of the negation."""
-    x, v = maximize_scalar(lambda t: -objective(t), interval, settings)
-    return x, -v
 
 
 def newton_root(phi: Callable[[float], tuple[float, float]], lo: float,

@@ -36,9 +36,9 @@ import functools
 import math
 
 from ._record import frozen
-# perfbench/tracer.py wraps rc_bounds.maximize_scalar, minimize_scalar and
-# zeta; the two searches are unused here.
-from .optimize import maximize_scalar, minimize_scalar, newton_root  # noqa: F401
+# perfbench/tracer.py wraps rc_bounds.maximize_scalar and zeta;
+# tests/test_bench_bindings.py keeps the unused search bound here.
+from .optimize import maximize_scalar, newton_root  # noqa: F401
 from .special_fn import log_gamma, psi_fn, zeta, zeta_jet
 
 __all__ = [

@@ -32,7 +32,7 @@ class TestFirRate:
         for g in (100.0, 1000.0):
             r_star, _ = maximize_scalar(
                 lambda r: fir_rate(FirQuery(g=g, r=r)),
-                SearchInterval(1e-6, 5.0 * g, open_lo=True),
+                SearchInterval(1e-6, 5.0 * g),
                 OptimizerSettings(coarse_points=2048, tol=1e-12))
             assert r_star / g == pytest.approx(0.3983, abs=2e-3)
 

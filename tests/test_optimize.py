@@ -2,22 +2,18 @@ import math
 
 import pytest
 
+import freqchan
 from freqchan.optimize import (EvaluationError, OptimizerSettings,
-                               SearchInterval, maximize_scalar,
-                               minimize_scalar, newton_root)
+                               SearchInterval, maximize_scalar, newton_root)
+
+
+def test_reached_through_the_module_only():
+    for name in ("EvaluationError", "OptimizerSettings", "SearchInterval",
+                 "maximize_scalar", "minimize_scalar"):
+        assert not hasattr(freqchan, name)
 
 
 class TestSearchInterval:
-    def test_closed_bounds_untouched(self):
-        iv = SearchInterval(1.0, 3.0)
-        assert iv.effective_bounds(0.01) == (1.0, 3.0)
-
-    def test_open_bounds_inset_relative_to_width(self):
-        iv = SearchInterval(0.0, 10.0, open_lo=True)
-        lo, hi = iv.effective_bounds(1e-3)
-        assert lo == pytest.approx(0.01)
-        assert hi == 10.0
-
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             SearchInterval(2.0, 2.0)
@@ -30,10 +26,7 @@ class TestOptimizerSettings:
         s = OptimizerSettings()
         assert s.coarse_points == 512 and s.tol == 1e-9
 
-    @pytest.mark.parametrize("kw", [
-        dict(coarse_points=2), dict(refine_iters=-1),
-        dict(tol=0.0), dict(open_margin=0.7),
-    ])
+    @pytest.mark.parametrize("kw", [dict(coarse_points=2), dict(tol=0.0)])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             OptimizerSettings(**kw)
@@ -50,24 +43,12 @@ class TestMaximizeScalar:
         x, v = maximize_scalar(lambda t: t, SearchInterval(0.0, 1.0))
         assert x == 1.0 and v == 1.0
 
-    def test_open_endpoint_never_evaluated(self):
-        seen = []
-
-        def f(t):
-            seen.append(t)
-            return -t
-
-        iv = SearchInterval(0.0, 1.0, open_lo=True)
-        x, _ = maximize_scalar(f, iv)
-        assert all(t > 0.0 for t in seen)
-        assert x == pytest.approx(1e-8, rel=1e-6)
-
     def test_sharp_interior_peak(self):
         # Narrow peak between coarse grid nodes still gets refined.
         x, v = maximize_scalar(
             lambda t: -abs(t - 0.617283) ** 0.5,
             SearchInterval(0.0, 1.0),
-            OptimizerSettings(coarse_points=64, refine_iters=200, tol=1e-12))
+            OptimizerSettings(coarse_points=64, tol=1e-12))
         assert x == pytest.approx(0.617283, abs=1e-7)
 
     def test_non_finite_regions_skipped(self):
@@ -98,18 +79,25 @@ class TestMaximizeScalar:
         assert v == pytest.approx(f(x), rel=1e-12)
 
     def test_convergence_tolerance(self):
-        settings = OptimizerSettings(tol=1e-12, refine_iters=200)
+        settings = OptimizerSettings(tol=1e-12)
         x, _ = maximize_scalar(lambda t: -(t - math.pi) ** 2,
                                SearchInterval(0.0, 10.0), settings)
         assert x == pytest.approx(math.pi, abs=1e-9)
 
+    def test_iteration_cap(self):
+        # A tolerance no step can meet: the coarse grid, the two first
+        # golden points and 80 golden steps, and the best of them returned.
+        seen = []
 
-class TestMinimizeScalar:
-    def test_negation_wrapper(self):
-        x, v = minimize_scalar(lambda t: (t - 1.5) ** 2 + 0.25,
-                               SearchInterval(0.0, 4.0))
-        assert x == pytest.approx(1.5, abs=1e-8)
-        assert v == pytest.approx(0.25, abs=1e-12)
+        def f(t):
+            seen.append(-(t - 0.3) ** 2)
+            return seen[-1]
+
+        x, v = maximize_scalar(f, SearchInterval(0.0, 1.0),
+                               OptimizerSettings(coarse_points=16, tol=1e-300))
+        assert len(seen) == 16 + 2 + 80
+        assert v == max(seen)
+        assert f(x) == v
 
 
 def _recorded(phi):

@@ -125,8 +125,8 @@ class TestDeltaFn:
 
     @pytest.mark.parametrize("r", [0.01, 1.0, 400.0, 1e5, 1e8])
     def test_one_bracketed_search(self, r, monkeypatch):
-        # One bracketed Newton root per r, no scalar minimization, and h
-        # evaluated once, at the root.
+        # One bracketed Newton root per r, and h evaluated once, at the
+        # root.
         objective, calls, searches = rc_bounds._delta_objective, [], []
 
         def counted_objective(q, r):
@@ -137,12 +137,8 @@ class TestDeltaFn:
             searches.append(args)
             return newton_root(*args)
 
-        def no_minimize(*args, **kwargs):
-            raise AssertionError("delta_fn called minimize_scalar")
-
         monkeypatch.setattr(rc_bounds, "_delta_objective", counted_objective)
         monkeypatch.setattr(rc_bounds, "newton_root", counted_root)
-        monkeypatch.setattr(rc_bounds, "minimize_scalar", no_minimize)
         rc_bounds._delta_cached.cache_clear()
         delta_fn(r)
         assert len(searches) == 1

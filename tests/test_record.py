@@ -24,12 +24,9 @@ class Empty:
 # (class, every field in order with a valid value, the defaulted fields
 # that may be omitted with the value they then take)
 RECORDS = [
-    (SearchInterval, {"lo": 0.0, "hi": 1.0, "open_lo": True},
-     {"open_lo": False}),
-    (OptimizerSettings, {"coarse_points": 3, "refine_iters": 5, "tol": 1e-6,
-                         "open_margin": 0.1},
-     {"coarse_points": 512, "refine_iters": 80, "tol": 1e-9,
-      "open_margin": 1e-8}),
+    (SearchInterval, {"lo": 0.0, "hi": 1.0}, {}),
+    (OptimizerSettings, {"coarse_points": 3, "tol": 1e-6},
+     {"coarse_points": 512, "tol": 1e-9}),
     (RcParams, {"alpha": 0.5, "xi": 2.0}, {}),
     (Empty, {}, {}),
     (BoundQuery, {"R": 0.5, "r": 400.0, "n": 10}, {"n": None}),
