@@ -26,7 +26,9 @@ class TestOptimizerSettings:
         s = OptimizerSettings()
         assert s.coarse_points == 512 and s.tol == 1e-9
 
-    @pytest.mark.parametrize("kw", [dict(coarse_points=2), dict(tol=0.0)])
+    @pytest.mark.parametrize("kw", [
+        dict(coarse_points=2), dict(tol=-1e-9), dict(tol=0.0),
+    ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             OptimizerSettings(**kw)
