@@ -10,7 +10,10 @@ one driver, ``_chunked``, splits the trials into chunks whose size depends
 only on the problem and gives each chunk a substream and a kernel that
 vectorizes inside it and returns (sum w, sum w^2, events), which the driver
 alone reduces.  The error-probability kernel draws a chunk's codebooks,
-messages and reads in one call each and decodes them at once.
+messages and reads in one call each and decodes them at once.  The
+divergence-tail kernel draws all of a chunk's points in one call, then its
+reads and divergences in consecutive row blocks of about 2^15 entries; the
+multinomial draws row after row, so the block size never changes a value.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ _ERROR_CHUNK_ENTRIES = 1 << 16
 _MAX_CODEBOOK_ENTRIES = 1 << 24
 # Chunks one estimator run may take; checked before its job list is built.
 _MAX_CHUNKS = 1 << 20
+# Entries in one row block of a divergence-tail chunk's reads (256 KiB of
+# float64, about an L2 cache): the block's counts, frequencies and terms stay
+# small beside the chunk's points.
+_BLOCK_ENTRIES = 1 << 15
 
 
 class DecodeError(RuntimeError):
@@ -120,6 +127,14 @@ def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
     if trials > 1:
         var *= trials / (trials - 1.0)
     return mean, math.sqrt(var / trials), sum(events)
+
+
+def _check_tail_chunk(n: int) -> None:
+    """Refuse a tail estimate whose _CHUNK-trial chunk would draw over
+    _MAX_CODEBOOK_ENTRIES entries; called before anything is allocated."""
+    if _CHUNK * n > _MAX_CODEBOOK_ENTRIES:
+        raise ValueError(f"{_CHUNK} trials of {n} types exceed the chunk "
+                         f"budget of {_MAX_CODEBOOK_ENTRIES} entries")
 
 
 def _reads(n: int, r: float) -> int:
@@ -480,10 +495,16 @@ def estimate_error_probability(config: SimConfig) -> SimReport:
 
 def _kl_tail_chunk(rng: np.random.Generator, size: int, n: int, reads: int,
                    alpha: float, rho_n: float) -> tuple[int, int, int]:
+    # All points first, then the reads and divergences block by block:
+    # multinomial draws row after row from one bit generator, so the blocks
+    # take the same stream as one call over the chunk.
     p = _dirichlet(rng, alpha, (size, n))
-    counts = rng.multinomial(reads, p)
-    div = _rel_entr_sum(counts / reads, p)
-    exceed = int(np.count_nonzero(div >= rho_n))
+    block = max(1, _BLOCK_ENTRIES // n)
+    exceed = 0
+    for lo in range(0, size, block):
+        rows = p[lo:lo + block]
+        div = _rel_entr_sum(rng.multinomial(reads, rows) / reads, rows)
+        exceed += int(np.count_nonzero(div >= rho_n))
     return exceed, exceed, exceed
 
 
@@ -493,6 +514,7 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
     Dirichlet(alpha) points p, next to its analytic ceiling."""
     reads = _reads(n, r)
     _check_alpha(alpha, n * float(alpha))
+    _check_tail_chunk(n)
     tail: KlTailBound = lemma1_tail_bound(n, r, mu)
     mean, std_err, events = _chunked(
         _kl_tail_chunk, _STREAM_KL_CHUNK, seed, trials,
@@ -504,10 +526,12 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
 def _bc_tail_chunk(rng: np.random.Generator, size: int, n: int,
                    lam: float) -> tuple[int, int, int]:
     # Dirichlet(1/2) overlap via normal vectors: sum |x_k y_k| / (|x| |y|).
+    # The norms first, so that |x y| can overwrite x.
     x = rng.standard_normal((size, n))
     y = rng.standard_normal((size, n))
-    overlap = np.abs(x * y).sum(axis=1)
-    overlap /= np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+    norms = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+    overlap = np.abs(np.multiply(x, y, out=x), out=x).sum(axis=1)
+    overlap /= norms
     exceed = int(np.count_nonzero(overlap >= lam))
     return exceed, exceed, exceed
 
@@ -518,6 +542,7 @@ def estimate_bc_tail(n: int, lam: float, trials: int, seed: int,
     Dirichlet(1/2) points reaching lam, next to 4 exp(-n L(lam))."""
     if n < 1:
         raise ValueError(f"n must be a positive count, got {n}")
+    _check_tail_chunk(n)
     bound = 4.0 * math.exp(-n * l_fn(lam))
     mean, std_err, events = _chunked(_bc_tail_chunk, _STREAM_BC_CHUNK, seed,
                                      trials, (n, lam), parallelism)

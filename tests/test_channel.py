@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -449,6 +450,82 @@ class TestTailEstimators:
         b = estimate_bc_tail(n=20, lam=0.9, trials=30_000, seed=4,
                              parallelism=4)
         assert a == b
+
+
+def _peak_bytes(kernel, tag, *args) -> int:
+    """tracemalloc peak of one chunk kernel call on substream (1, tag, 0)."""
+    tracemalloc.start()
+    try:
+        rng = channel._substream(1, tag, 0)
+        tracemalloc.reset_peak()
+        kernel(rng, *args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTailChunks:
+    # rho_n is set low enough for events.
+    @pytest.mark.parametrize("n, reads, alpha, rho_n, size, index, blocks", [
+        (20, 100, 0.5, 0.15, 4096, 0, 3),  # 1638 + 1638 + 820 rows
+        (20, 100, 1.5, 0.15, 808, 2, 1),   # the last chunk of 9000 trials
+        (100, 400, 0.5, 0.11, 4096, 0, 13),
+    ])
+    def test_blocked_reads_equal_one_multinomial_call(
+            self, monkeypatch, n, reads, alpha, rho_n, size, index, blocks):
+        rng = channel._substream(1, channel._STREAM_KL_CHUNK, index)
+        p = channel._dirichlet(rng, alpha, (size, n))
+        want = channel._rel_entr_sum(rng.multinomial(reads, p) / reads, p)
+        rel_entr_sum = channel._rel_entr_sum
+        seen = []
+
+        def recording(q, p):
+            seen.append(rel_entr_sum(q, p))
+            return seen[-1]
+
+        monkeypatch.setattr(channel, "_rel_entr_sum", recording)
+        events = channel._kl_tail_chunk(
+            channel._substream(1, channel._STREAM_KL_CHUNK, index), size, n,
+            reads, alpha, rho_n)
+        assert len(seen) == blocks
+        assert np.array_equal(np.concatenate(seen), want)
+        assert events == (int(np.count_nonzero(want >= rho_n)),) * 3
+        assert events[0] > 0
+
+    def test_kl_chunk_holds_its_points_and_one_block(self):
+        # 12.96 MiB when the chunk's reads were drawn in one call.
+        rho_n = channel.lemma1_tail_bound(100, 4.0, 0.1).rho_n
+        peak = _peak_bytes(channel._kl_tail_chunk, channel._STREAM_KL_CHUNK,
+                           4096, 100, 400, 0.5, rho_n)
+        assert peak <= 4096 * 100 * 8 + (1 << 20)
+
+    def test_bc_chunk_holds_its_draws_and_one_temporary(self):
+        # x, y and the square np.linalg.norm forms; 6.25 MiB when |x y| was
+        # formed in two more temporaries.
+        peak = _peak_bytes(channel._bc_tail_chunk, channel._STREAM_BC_CHUNK,
+                           4096, 50, 0.9)
+        assert peak <= 3 * 4096 * 50 * 8 + (1 << 20)
+
+    @pytest.mark.parametrize("name", ["kl", "bc"])
+    def test_oversized_chunk_refused_first(self, monkeypatch, name,
+                                           address_space_cap):
+        def no_call(*args):
+            raise AssertionError("called before the chunk-size check")
+
+        for fn in ("lemma1_tail_bound", "l_fn", "_dirichlet", "_chunked"):
+            monkeypatch.setattr(channel, fn, no_call)
+        with pytest.raises(ValueError, match="chunk budget"):
+            if name == "kl":
+                estimate_kl_tail(n=10 ** 6, r=4.0, alpha=0.5, mu=0.1,
+                                 trials=10 ** 4, seed=1)
+            else:
+                estimate_bc_tail(n=10 ** 6, lam=0.9, trials=10 ** 4, seed=1)
+
+    def test_chunk_budget_edge(self):
+        n = channel._MAX_CODEBOOK_ENTRIES // channel._CHUNK
+        assert estimate_bc_tail(n=n, lam=0.9, trials=10, seed=1).events == 0
+        with pytest.raises(ValueError, match="chunk budget"):
+            estimate_bc_tail(n=n + 1, lam=0.9, trials=10, seed=1)
 
 
 class TestProductMoments:
