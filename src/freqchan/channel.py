@@ -118,6 +118,8 @@ def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
     if parallelism < 1:
         raise ValueError(
             f"parallelism must be a positive count, got {parallelism}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     chunk = _chunk_size(trials, codebook_entries)
     jobs = [(kernel, params, seed, tag, index, min(chunk, trials - start))
             for index, start in enumerate(range(0, trials, chunk))]
@@ -597,7 +599,8 @@ def estimate_product_moment(alphas, betas, trials: int, seed: int,
     and never on ``parallelism``.
     """
     a, b = _moment_arrays(alphas, betas)
+    closed_form = dirichlet_product_moment(a, b)  # bad input fails first
     mean, std_err, _ = _chunked(_moment_chunk, _STREAM_MOMENT_CHUNK, seed,
                                 trials, (a, b), parallelism)
-    return MomentReport(closed_form=dirichlet_product_moment(a, b),
-                        mc_estimate=mean, mc_std_err=std_err)
+    return MomentReport(closed_form=closed_form, mc_estimate=mean,
+                        mc_std_err=std_err)

@@ -1,11 +1,13 @@
 """Deterministic scalar maximization and root finding on intervals.
 
-``maximize_scalar`` scans a coarse grid and refines the best cell by
-golden section.  No bound calls it: it is the search that acceptance
-criterion 04 and the tests use to locate the peak of the finite-budget
-baseline.  ``newton_root`` is the package's root-finder: safeguarded
-Newton steps on an increasing function whose slope is known in closed
-form, falling back to bisection of the bracket.
+``maximize_scalar(objective, lo, hi, coarse_points, tol)`` scans a
+coarse grid of [lo, hi] and refines the best cell by golden section.  No
+bound calls it: it is the search that acceptance criterion 04 and the
+tests use to locate the peak of the finite-budget baseline.
+``newton_root`` is the package's root-finder: safeguarded Newton steps
+on an increasing function whose slope is known in closed form, falling
+back to bisection of the bracket.  Both take plain arguments, and both
+raise ArithmeticError when their search fails.
 """
 
 from __future__ import annotations
@@ -13,15 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from ._record import frozen
-
-__all__ = [
-    "EvaluationError",
-    "OptimizerSettings",
-    "SearchInterval",
-    "maximize_scalar",
-    "newton_root",
-]
+__all__ = ["maximize_scalar", "newton_root"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # A safety cap on golden-section steps; searches stop on ``tol`` first.
@@ -34,71 +28,31 @@ _ROOT_ATOL = 1e-20
 _ROOT_ITERS = 100
 
 
-class EvaluationError(RuntimeError):
-    """The objective produced no finite value anywhere on the coarse grid."""
-
-    def __init__(self, message: str, point: float):
-        super().__init__(message)
-        self.point = point
-
-
-@frozen
-class SearchInterval:
-    """A closed 1-D search domain [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-
-@frozen
-class OptimizerSettings:
-    """Coarse grid size and relative tolerance of ``maximize_scalar``."""
-
-    coarse_points: int = 512
-    tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.coarse_points < 3:
-            raise ValueError("coarse_points must be at least 3")
-        if not 0.0 < self.tol:
-            raise ValueError("tol must be positive")
-
-
-def maximize_scalar(
-    objective: Callable[[float], float],
-    interval: SearchInterval,
-    settings: OptimizerSettings | None = None,
-) -> tuple[float, float]:
-    """Return (argmax, value) of ``objective`` over ``interval``.
+def maximize_scalar(objective: Callable[[float], float], lo: float,
+                    hi: float, coarse_points: int = 512,
+                    tol: float = 1e-9) -> tuple[float, float]:
+    """Return (argmax, value) of ``objective`` over the closed [lo, hi].
 
     Scans ``coarse_points`` evenly spaced points (the last one exactly
     ``hi``), then polishes the two cells around the best one by golden
-    section, for at most ``_REFINE_ITERS`` steps.  Non-finite objective
-    values are treated as -inf; if the entire coarse grid is non-finite
-    an EvaluationError carrying the first offending point is raised.
-    The returned value is the best value actually evaluated, so it is
-    never below any coarse-grid value.
+    section until the cell [a, b] is at most ``tol * max(1, |a| + |b|)``
+    wide, for at most ``_REFINE_ITERS`` steps.  Bad arguments raise
+    ValueError.  Non-finite objective values are treated as -inf; if the
+    entire coarse grid is non-finite, ArithmeticError is raised.  The
+    returned value is the best value actually evaluated, so it is never
+    below any coarse-grid value.
     """
-    settings = settings or OptimizerSettings()
-    lo, hi = interval.lo, interval.hi
-    m = settings.coarse_points
-    step = (hi - lo) / (m - 1)
-    grid = [lo + i * step for i in range(m - 1)] + [hi]
-    grid_vals = []
-    for x in grid:
-        v = objective(x)
-        grid_vals.append(v if math.isfinite(v) else -math.inf)
-    i_best = max(range(m), key=grid_vals.__getitem__)
-    if grid_vals[i_best] == -math.inf:
-        raise EvaluationError(
-            "objective is non-finite on the entire coarse grid", lo)
-    best_x, best_v = grid[i_best], grid_vals[i_best]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("interval endpoints must be finite")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if coarse_points < 3:
+        raise ValueError("coarse_points must be at least 3")
+    if not 0.0 < tol:
+        raise ValueError("tol must be positive")
+    step = (hi - lo) / (coarse_points - 1)
+    grid = [lo + i * step for i in range(coarse_points - 1)] + [hi]
+    best_x, best_v = lo, -math.inf
 
     def probe(x: float) -> float:
         nonlocal best_x, best_v
@@ -109,6 +63,12 @@ def maximize_scalar(
             best_x, best_v = x, v
         return v
 
+    grid_vals = [probe(x) for x in grid]
+    if best_v == -math.inf:
+        raise ArithmeticError(
+            "objective is non-finite on the entire coarse grid")
+    i_best = grid_vals.index(best_v)  # the first best, as probe keeps it
+
     a = lo + max(i_best - 1, 0) * step
     b = min(lo + (i_best + 1) * step, hi)
     c = b - _INV_PHI * (b - a)
@@ -116,7 +76,7 @@ def maximize_scalar(
     fc = probe(c)
     fd = probe(d)
     for _ in range(_REFINE_ITERS):
-        if b - a <= settings.tol * max(1.0, abs(a) + abs(b)):
+        if b - a <= tol * max(1.0, abs(a) + abs(b)):
             break
         if fc >= fd:
             b, d, fd = d, c, fc

@@ -37,12 +37,16 @@ def log_gamma(t: float) -> float:
 
     Backed by the platform ``lgamma`` (a Lanczos-grade implementation);
     the test suite pins it against the recurrence, closed forms and
-    ``scipy.special.gammaln``.
+    ``scipy.special.gammaln``.  From t ~ 2.56e305 on the result
+    overflows, and ValueError is raised.
     """
     t = _checked("t", t)
     if t <= 0.0:
         raise ValueError(f"log_gamma requires t > 0, got {t}")
-    return math.lgamma(t)
+    try:
+        return math.lgamma(t)
+    except OverflowError:
+        raise ValueError(f"log_gamma overflows at t = {t}") from None
 
 
 def zeta(s: float) -> float:

@@ -205,6 +205,8 @@ def run_suites(suite: str, seed: int = 0) -> list[Check]:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     results: list[Check] = []
     for name in names:
         results.extend(SUITES[name](seed))

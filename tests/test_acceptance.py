@@ -20,7 +20,7 @@ from freqchan.channel import (SimConfig, estimate_bc_tail,
                               wilson_std_err)
 from freqchan.cli import main
 from freqchan.ex_bounds import MEAN_ABS_XY, ex_exponent, f_kappa, g_fn, l_fn
-from freqchan.optimize import OptimizerSettings, SearchInterval, maximize_scalar
+from freqchan.optimize import maximize_scalar
 from freqchan.rc_bounds import (BoundQuery, delta_fn, lambda_fn,
                          rate_lower_bound, rc_exponent,
                          thm1_probability_bound)
@@ -94,9 +94,8 @@ def test_criterion_03_rate_bound_zero_crossing():
 
 def test_criterion_04_finite_budget_peak_location():
     r_star, _ = maximize_scalar(
-        lambda r: fir_rate(FirQuery(g=1000.0, r=r)),
-        SearchInterval(1.0, 2000.0),
-        OptimizerSettings(coarse_points=4096, tol=1e-12))
+        lambda r: fir_rate(FirQuery(g=1000.0, r=r)), 1.0, 2000.0,
+        coarse_points=4096, tol=1e-12)
     ok = 390.0 <= r_star <= 406.0
     _line(4, ok, f"argmax_r fir_rate(g=1000) = {r_star:.2f}")
     assert 390.0 <= r_star <= 406.0

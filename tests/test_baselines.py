@@ -3,7 +3,7 @@ import math
 import pytest
 
 from freqchan.baselines import FirQuery, converse_rate, fir_rate
-from freqchan.optimize import OptimizerSettings, SearchInterval, maximize_scalar
+from freqchan.optimize import maximize_scalar
 from freqchan.rc_bounds import rate_lower_bound
 from freqchan.special_fn import psi_fn
 
@@ -31,9 +31,8 @@ class TestFirRate:
         # giving u ~ 0.3983 regardless of g.
         for g in (100.0, 1000.0):
             r_star, _ = maximize_scalar(
-                lambda r: fir_rate(FirQuery(g=g, r=r)),
-                SearchInterval(1e-6, 5.0 * g),
-                OptimizerSettings(coarse_points=2048, tol=1e-12))
+                lambda r: fir_rate(FirQuery(g=g, r=r)), 1e-6, 5.0 * g,
+                coarse_points=2048, tol=1e-12)
             assert r_star / g == pytest.approx(0.3983, abs=2e-3)
 
     def test_never_exceeds_converse(self):

@@ -5,7 +5,8 @@ their callers bind them under.  A stat whose every binding is gone is
 reported as ``null`` in the benchmark's final JSON line, which the
 benchmark reads as malformed output, so a refactor that drops such a
 name (say ``ex_bounds.maximize_scalar``) must fail here first.  The
-tracer is loaded from its file and only read.
+tracer is loaded from its file, never edited; one test installs it on
+the real modules and takes it off again.
 """
 
 import importlib
@@ -13,6 +14,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import freqchan.channel
@@ -57,3 +59,35 @@ def test_substream_bindings_resolve():
 
 def test_cli_main_resolves():
     assert callable(getattr(freqchan.cli, "main", None))
+
+
+def test_traced_search_takes_plain_arguments():
+    # The tracer wraps maximize_scalar at rc_bounds' binding; the wrapper
+    # must pass (objective, lo, hi) through, return the search's own
+    # result, count the call and its objective evaluations, and put the
+    # original back on uninstall.
+    names = {m for m, _, _, _ in tracer.BINDINGS} | {"optimize"}
+    modules = {n: importlib.import_module(f"freqchan.{n}") for n in names}
+    rc_bounds = modules["rc_bounds"]
+    original = rc_bounds.maximize_scalar
+    seen = []
+
+    def objective(t):
+        seen.append(t)
+        return -(t - 0.3) ** 2
+
+    want = original(objective, 0.0, 1.0)
+    evals = len(seen)
+    trace = tracer.Tracer(modules)
+    try:
+        trace.install()
+        assert rc_bounds.maximize_scalar is not original
+        got = rc_bounds.maximize_scalar(objective, 0.0, 1.0)
+        metrics = trace.layer_metrics()
+    finally:
+        trace.uninstall()
+    assert got == want
+    assert metrics["optimize.maximize_scalar.calls.rc_bounds"] == 1
+    assert metrics["optimize.objective_evals.rc_bounds"] == evals
+    assert rc_bounds.maximize_scalar is original
+    assert freqchan.channel.np is np

@@ -567,6 +567,17 @@ class TestProductMoments:
             estimate_product_moment(np.array([1.0]), np.array([1.0]),
                                     trials=0, seed=0)
 
+    def test_overflowing_moment_is_a_value_error(self, monkeypatch):
+        # Gamma(0.5 + 1e308) overflows; the estimator fails before sampling.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the closed form")
+
+        with pytest.raises(ValueError, match="log_gamma overflows at t"):
+            dirichlet_product_moment([0.5], [1e308])
+        monkeypatch.setattr(channel, "_chunked", no_sampling)
+        with pytest.raises(ValueError, match="log_gamma overflows at t"):
+            estimate_product_moment([0.5], [1e308], trials=10, seed=0)
+
 
 class TestTinyAlpha:
     # At alpha = 0.001 the boosted draw G U^(1/alpha) underflows to zero
@@ -660,25 +671,25 @@ class TestMap:
         assert sizes == [4, 2]
 
 
-def _error(parallelism=1, trials=3000, alpha=0.5, fresh=True):
+def _error(parallelism=1, trials=3000, alpha=0.5, fresh=True, seed=3):
     return estimate_error_probability(SimConfig(
-        n=10, r=1.0, alpha=alpha, trials=trials, seed=3, M=256,
+        n=10, r=1.0, alpha=alpha, trials=trials, seed=seed, M=256,
         parallelism=parallelism, fresh_codebook=fresh))
 
 
-def _kl_tail(parallelism=1, trials=9000, alpha=1.5):
+def _kl_tail(parallelism=1, trials=9000, alpha=1.5, seed=2):
     return estimate_kl_tail(n=5, r=2.0, alpha=alpha, mu=0.2, trials=trials,
-                            seed=2, parallelism=parallelism)
+                            seed=seed, parallelism=parallelism)
 
 
-def _bc_tail(parallelism=1, trials=20_000):
-    return estimate_bc_tail(n=10, lam=0.9, trials=trials, seed=5,
+def _bc_tail(parallelism=1, trials=20_000, seed=5):
+    return estimate_bc_tail(n=10, lam=0.9, trials=trials, seed=seed,
                             parallelism=parallelism)
 
 
-def _moment(parallelism=1, trials=9000, alpha=0.5):
+def _moment(parallelism=1, trials=9000, alpha=0.5, seed=8):
     return estimate_product_moment([alpha, 2.0], [1.5, 0.25], trials=trials,
-                                   seed=8, parallelism=parallelism)
+                                   seed=seed, parallelism=parallelism)
 
 
 ESTIMATORS = {"error": _error, "kl_tail": _kl_tail, "bc_tail": _bc_tail,
@@ -689,14 +700,14 @@ class TestChunkDriver:
     @pytest.mark.parametrize("name, key, value", [
         (name, key, value) for name in ESTIMATORS
         for key, value in (("parallelism", 0), ("parallelism", -3),
-                           ("trials", 0), ("trials", -1))
+                           ("trials", 0), ("trials", -1), ("seed", -1))
     ] + [(name, "alpha", alpha) for name in ("error", "kl_tail", "moment")
          for alpha in (0.0, -1.0, math.nan, math.inf, 1e-308, 1e-320)
     ] + [(name, "alpha", 1e308) for name in ("error", "kl_tail")])
     def test_bad_input_is_a_value_error(self, name, key, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=key):
                 ESTIMATORS[name](**{key: value})
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))

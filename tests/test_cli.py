@@ -439,6 +439,14 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "special"]) == EXIT_VERIFY_FAILED
         assert "FAIL forced failure" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suite", ["channel", "special", "all"])
+    def test_negative_seed_is_usage_error(self, capsys, suite):
+        # Refused before any suite runs, even one that draws nothing.
+        assert main(["verify", "--suite", suite, "--seed", "-5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: seed must be nonnegative, got -5\n"
+
 
 class TestUsageSurface:
     def test_unknown_command_is_usage_error(self):

@@ -1,56 +1,70 @@
+import inspect
 import math
 
 import pytest
 
 import freqchan
-from freqchan.optimize import (EvaluationError, OptimizerSettings,
-                               SearchInterval, maximize_scalar, newton_root)
+from freqchan.optimize import maximize_scalar, newton_root
+
+
+def _peak(t):
+    return -(t - 0.3) ** 2
 
 
 def test_reached_through_the_module_only():
-    for name in ("EvaluationError", "OptimizerSettings", "SearchInterval",
-                 "maximize_scalar", "minimize_scalar"):
+    for name in ("maximize_scalar", "minimize_scalar", "newton_root"):
         assert not hasattr(freqchan, name)
 
 
 class TestSearchInterval:
+    """maximize_scalar's checks of lo and hi."""
+
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            SearchInterval(2.0, 2.0)
-        with pytest.raises(ValueError):
-            SearchInterval(0.0, math.inf)
+        with pytest.raises(ValueError, match=r"need lo < hi, got \[2.0, 2.0\]"):
+            maximize_scalar(_peak, 2.0, 2.0)
+        with pytest.raises(ValueError, match="need lo < hi"):
+            maximize_scalar(_peak, 1.0, 0.0)
+        for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError,
+                               match="interval endpoints must be finite"):
+                maximize_scalar(_peak, lo, hi)
 
 
 class TestOptimizerSettings:
-    def test_defaults_valid(self):
-        s = OptimizerSettings()
-        assert s.coarse_points == 512 and s.tol == 1e-9
+    """maximize_scalar's coarse_points and tol: defaults and checks."""
 
-    @pytest.mark.parametrize("kw", [
-        dict(coarse_points=2), dict(tol=-1e-9), dict(tol=0.0),
-    ])
-    def test_validation(self, kw):
-        with pytest.raises(ValueError):
-            OptimizerSettings(**kw)
+    def test_defaults_valid(self):
+        params = inspect.signature(maximize_scalar).parameters
+        assert params["coarse_points"].default == 512
+        assert params["tol"].default == 1e-9
+        assert maximize_scalar(_peak, 0.0, 1.0) == maximize_scalar(
+            _peak, 0.0, 1.0, coarse_points=512, tol=1e-9)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(coarse_points=2), "coarse_points must be at least 3"),
+        (dict(tol=-1e-9), "tol must be positive"),
+        (dict(tol=0.0), "tol must be positive"),
+    ], ids=["kw0", "kw1", "kw2"])
+    def test_validation(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            maximize_scalar(_peak, 0.0, 1.0, **kw)
 
 
 class TestMaximizeScalar:
     def test_quadratic_peak(self):
-        x, v = maximize_scalar(lambda t: -(t - 2.3) ** 2 + 4.0,
-                               SearchInterval(0.0, 5.0))
+        x, v = maximize_scalar(lambda t: -(t - 2.3) ** 2 + 4.0, 0.0, 5.0)
         assert x == pytest.approx(2.3, abs=1e-8)
         assert v == pytest.approx(4.0, abs=1e-12)
 
     def test_boundary_maximum(self):
-        x, v = maximize_scalar(lambda t: t, SearchInterval(0.0, 1.0))
+        x, v = maximize_scalar(lambda t: t, 0.0, 1.0)
         assert x == 1.0 and v == 1.0
 
     def test_sharp_interior_peak(self):
         # Narrow peak between coarse grid nodes still gets refined.
         x, v = maximize_scalar(
-            lambda t: -abs(t - 0.617283) ** 0.5,
-            SearchInterval(0.0, 1.0),
-            OptimizerSettings(coarse_points=64, tol=1e-12))
+            lambda t: -abs(t - 0.617283) ** 0.5, 0.0, 1.0,
+            coarse_points=64, tol=1e-12)
         assert x == pytest.approx(0.617283, abs=1e-7)
 
     def test_non_finite_regions_skipped(self):
@@ -59,14 +73,13 @@ class TestMaximizeScalar:
                 return math.nan
             return -(t - 0.7) ** 2
 
-        x, v = maximize_scalar(f, SearchInterval(0.0, 1.0))
+        x, v = maximize_scalar(f, 0.0, 1.0)
         assert x == pytest.approx(0.7, abs=1e-8)
         assert v == pytest.approx(0.0, abs=1e-15)
 
     def test_all_non_finite_raises(self):
-        with pytest.raises(EvaluationError) as err:
-            maximize_scalar(lambda t: math.inf, SearchInterval(0.0, 1.0))
-        assert 0.0 <= err.value.point <= 1.0
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            maximize_scalar(lambda t: math.inf, 0.0, 1.0)
 
     def test_returns_best_probe_ever_seen(self):
         # A spiky objective where refinement could wander: the reported
@@ -74,16 +87,14 @@ class TestMaximizeScalar:
         def f(t):
             return math.sin(40.0 * t) + 0.3 * t
 
-        settings = OptimizerSettings(coarse_points=512)
-        x, v = maximize_scalar(f, SearchInterval(0.0, 6.0), settings)
+        x, v = maximize_scalar(f, 0.0, 6.0, coarse_points=512)
         grid_best = max(f(i * 6.0 / 511) for i in range(512))
         assert v >= grid_best - 1e-15
         assert v == pytest.approx(f(x), rel=1e-12)
 
     def test_convergence_tolerance(self):
-        settings = OptimizerSettings(tol=1e-12)
-        x, _ = maximize_scalar(lambda t: -(t - math.pi) ** 2,
-                               SearchInterval(0.0, 10.0), settings)
+        x, _ = maximize_scalar(lambda t: -(t - math.pi) ** 2, 0.0, 10.0,
+                               tol=1e-12)
         assert x == pytest.approx(math.pi, abs=1e-9)
 
     def test_iteration_cap(self):
@@ -95,8 +106,7 @@ class TestMaximizeScalar:
             seen.append(-(t - 0.3) ** 2)
             return seen[-1]
 
-        x, v = maximize_scalar(f, SearchInterval(0.0, 1.0),
-                               OptimizerSettings(coarse_points=16, tol=1e-300))
+        x, v = maximize_scalar(f, 0.0, 1.0, coarse_points=16, tol=1e-300)
         assert len(seen) == 16 + 2 + 80
         assert v == max(seen)
         assert f(x) == v

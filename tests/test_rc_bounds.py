@@ -82,6 +82,10 @@ class TestLambdaFn:
         with pytest.raises(ValueError):
             lambda_fn(1.0, 1.0, -0.1)
 
+    def test_overflowing_log_gamma_is_a_value_error(self):
+        with pytest.raises(ValueError, match="log_gamma overflows at t"):
+            lambda_fn(1.0, 1e306, 0.0)
+
 
 class TestDeltaFn:
     @pytest.mark.parametrize("r", [1e-7, 0.03, 0.5, 4.0, 10.0, 400.0,

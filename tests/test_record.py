@@ -12,7 +12,6 @@ from freqchan.channel import (BcTailReport, Codebook, MomentReport,
                               SampleCounts, SimConfig, SimReport, TailReport)
 from freqchan.cli import RunManifest
 from freqchan.ex_bounds import ExExponentPoint, ExParams, ExSettings
-from freqchan.optimize import OptimizerSettings, SearchInterval
 from freqchan.rc_bounds import BoundQuery, ExponentPoint, KlTailBound, RcParams
 
 
@@ -24,9 +23,6 @@ class Empty:
 # (class, every field in order with a valid value, the defaulted fields
 # that may be omitted with the value they then take)
 RECORDS = [
-    (SearchInterval, {"lo": 0.0, "hi": 1.0}, {}),
-    (OptimizerSettings, {"coarse_points": 3, "tol": 1e-6},
-     {"coarse_points": 512, "tol": 1e-9}),
     (RcParams, {"alpha": 0.5, "xi": 2.0}, {}),
     (Empty, {}, {}),
     (BoundQuery, {"R": 0.5, "r": 400.0, "n": 10}, {"n": None}),
@@ -159,9 +155,9 @@ def test_post_init_normalises_a_field():
 
 
 @pytest.mark.parametrize("cls, kwargs, message", [
-    (SearchInterval, {"lo": 1.0, "hi": 1.0}, r"need lo < hi, got \[1.0, 1.0\]"),
-    (OptimizerSettings, {"coarse_points": 2},
-     "coarse_points must be at least 3"),
+    (SimConfig, {"n": 4, "r": 2.0, "alpha": 1.0, "trials": 10, "seed": -1,
+                 "M": 2}, "seed must be nonnegative, got -1"),
+    (RcParams, {"alpha": 0.5, "xi": 0.0}, "xi must be positive, got 0.0"),
     (RcParams, {"alpha": 0.4, "xi": 1.0}, "alpha must be at least 1/2"),
     (BoundQuery, {"R": -1.0, "r": 4.0}, r"R must be finite and >= 0, got -1.0"),
     (BoundQuery, {"R": 0.1, "r": 4.0, "n": 0}, "n must be a positive count"),
