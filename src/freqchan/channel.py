@@ -161,11 +161,9 @@ def _check_alpha(alpha: float, total: float) -> None:
 
 @frozen
 class Codebook:
-    """M codewords on the n-simplex, plus the draw that produced them."""
+    """M codewords on the n-simplex, as an (M, n) matrix."""
 
     codewords: np.ndarray
-    alpha: float
-    seed: int
 
     def __post_init__(self) -> None:
         cw = np.asarray(self.codewords, dtype=np.float64)
@@ -175,7 +173,6 @@ class Codebook:
             raise ValueError("codewords must be finite and nonnegative")
         if np.max(np.abs(cw.sum(axis=1) - 1.0)) > _SIMPLEX_ATOL:
             raise ValueError("each codeword must sum to 1 within 1e-12")
-        _check_alpha(self.alpha, cw.shape[1] * float(self.alpha))
         object.__setattr__(self, "codewords", cw)
 
     @property
@@ -248,7 +245,8 @@ class SimConfig:
         if self.R is not None and not (math.isfinite(self.R) and self.R >= 0.0):
             raise ValueError(f"R must be finite and >= 0, got {self.R}")
         if self.parallelism < 1:
-            raise ValueError("parallelism must be a positive count")
+            raise ValueError(f"parallelism must be a positive count, "
+                             f"got {self.parallelism}")
         # In log space, so that exp(n R) is never formed when it is huge.
         log_m = math.log(self.M) if self.M is not None else self.n * self.R
         if log_m > math.log(_MAX_CODEBOOK_ENTRIES / self.n):
@@ -485,13 +483,13 @@ def estimate_error_probability(config: SimConfig) -> SimReport:
         _error_chunk, _STREAM_ERROR_CHUNK, config.seed, config.trials,
         (config.n, config.reads, config.alpha, m, fixed), config.parallelism,
         codebook_entries=m * config.n)
-    query = BoundQuery(R=config.resolved_rate, r=config.r, n=config.n)
+    query = BoundQuery(R=config.resolved_rate, r=config.r)
     return SimReport(
         errors=errors,
         trials=config.trials,
         eps_hat=eps_hat,
         wilson_ci=_wilson_ci(errors, config.trials),
-        thm1_bound=thm1_probability_bound(query),
+        thm1_bound=thm1_probability_bound(query, config.n),
     )
 
 

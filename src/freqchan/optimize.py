@@ -42,8 +42,9 @@ def maximize_scalar(objective: Callable[[float], float], lo: float,
     returned value is the best value actually evaluated, so it is never
     below any coarse-grid value.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("interval endpoints must be finite")
+    if not math.isfinite(hi - lo):  # so are lo, hi and the grid step
+        raise ValueError(f"interval endpoints must be finite, and so must "
+                         f"hi - lo; got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if coarse_points < 3:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 from ._record import frozen
 # perfbench/tracer.py wraps rc_bounds.maximize_scalar and zeta;
@@ -77,19 +78,16 @@ class RcParams:
 
 @frozen
 class BoundQuery:
-    """A (rate, sampling ratio) pair, optionally with a block length."""
+    """The (rate, sampling ratio) point every exponent is a function of."""
 
     R: float
     r: float
-    n: int | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.R) and self.R >= 0.0):
             raise ValueError(f"R must be finite and >= 0, got {self.R}")
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be finite and positive, got {self.r}")
-        if self.n is not None and self.n < 1:
-            raise ValueError(f"n must be a positive count, got {self.n}")
 
 
 @frozen
@@ -232,20 +230,23 @@ def rate_lower_bound(r: float) -> float:
     return _r_lb(r, delta_fn(r))
 
 
-def thm1_probability_bound(query: BoundQuery) -> float:
-    """2 sqrt(2 pi e n r) exp(-n E(R, r)), the ensemble error ceiling.
+def _log_prefactor(n: int, r: float) -> float:
+    """log sqrt(2 pi e n r), shared by both finite-n ceilings.  An n above
+    the float range is refused before n*r could raise OverflowError."""
+    if not (1 <= n <= sys.float_info.max and math.isfinite(n * r)):
+        raise ValueError(f"n must be a positive count with n*r finite, "
+                         f"got n = {n}")
+    return 0.5 * (1.0 + _LOG_2PI + math.log(n * r))
+
+
+def thm1_probability_bound(query: BoundQuery, n: int) -> float:
+    """2 sqrt(2 pi e n r) exp(-n E(R, r)), the ensemble error ceiling at
+    block length n.
 
     Values above 1 are returned as-is (the bound is then vacuous).
     """
-    if query.n is None:
-        raise ValueError("thm1_probability_bound needs a block length n")
-    point = rc_exponent(query)
-    log_bound = (
-        math.log(2.0)
-        + 0.5 * (1.0 + _LOG_2PI + math.log(query.n * query.r))
-        - query.n * point.E
-    )
-    return math.exp(log_bound)
+    prefactor = _log_prefactor(n, query.r)
+    return math.exp(math.log(2.0) + prefactor - n * rc_exponent(query).E)
 
 
 def lemma1_tail_bound(n: int, r: float, mu: float) -> KlTailBound:
@@ -254,12 +255,10 @@ def lemma1_tail_bound(n: int, r: float, mu: float) -> KlTailBound:
     The tail event is D(empirical || p) >= rho_n with threshold
     rho_n = (Delta(r) + mu) / r, returned alongside the bound.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive count, got {n}")
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be positive, got {mu}")
-    delta = delta_fn(r)
-    log_bound = 0.5 * (1.0 + _LOG_2PI + math.log(n * r)) - n * mu
-    return KlTailBound(bound=math.exp(log_bound), rho_n=(delta + mu) / r)
+    prefactor = _log_prefactor(n, r)
+    return KlTailBound(bound=math.exp(prefactor - n * mu),
+                       rho_n=(delta_fn(r) + mu) / r)

@@ -135,7 +135,7 @@ def _suite_channel(seed: int) -> list[Check]:
 
     rng = np.random.default_rng(seed)
     rows = np.stack([_dirichlet(rng, 0.5, 6) for _ in range(8)])
-    cb = Codebook(codewords=rows, alpha=0.5, seed=seed)
+    cb = Codebook(codewords=rows)
     sums = cb.codewords.sum(axis=1)
     ok = (cb.codewords.shape == (8, 6) and np.all(cb.codewords >= 0.0)
           and np.allclose(sums, 1.0, atol=1e-12))

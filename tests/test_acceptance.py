@@ -135,7 +135,7 @@ def test_criterion_07_error_probability_ceiling():
     details = []
     for n, r in grid:
         rate = math.log(2.0) / n
-        bound = thm1_probability_bound(BoundQuery(R=rate, r=r, n=n))
+        bound = thm1_probability_bound(BoundQuery(R=rate, r=r), n)
         if bound >= 1.0:
             continue
         checked += 1
@@ -182,7 +182,7 @@ def _exact_error_rate_two_types(codewords: np.ndarray) -> float:
     """Exact error probability at n=2, reads=4, M=2 for one codebook."""
     from freqchan.channel import Codebook, SampleCounts
 
-    cb = Codebook(codewords=codewords, alpha=0.5, seed=0)
+    cb = Codebook(codewords=codewords)
     total = 0.0
     for message in range(2):
         p1 = codewords[message, 0]

@@ -39,14 +39,12 @@ class TestSimplexTypes:
 
     def test_codebook_shape_and_rows(self):
         cw = np.array([[0.5, 0.5], [0.9, 0.1]])
-        cb = Codebook(codewords=cw, alpha=0.5, seed=1)
+        cb = Codebook(codewords=cw)
         assert cb.m == 2 and cb.n == 2
 
     def test_codebook_rejects_bad_rows(self):
         with pytest.raises(ValueError):
-            Codebook(codewords=np.array([[0.5, 0.6]]), alpha=0.5, seed=1)
-        with pytest.raises(ValueError):
-            Codebook(codewords=np.array([[0.5, 0.5]]), alpha=0.0, seed=1)
+            Codebook(codewords=np.array([[0.5, 0.6]]))
 
     def test_sample_counts_conservation(self):
         with pytest.raises(ValueError):
@@ -164,7 +162,7 @@ class TestDivergenceAndOverlap:
 class TestMlDecode:
     def test_exact_member_wins(self):
         cw = np.array([[0.5, 0.5], [0.75, 0.25], [0.1, 0.9]])
-        cb = Codebook(codewords=cw, alpha=0.5, seed=0)
+        cb = Codebook(codewords=cw)
         sc = SampleCounts(counts=np.array([3, 1]), trials=4)
         assert ml_decode(sc, cb) == 1
 
@@ -173,7 +171,7 @@ class TestMlDecode:
         mismatches = 0
         for _ in range(2_000):
             rows = channel._dirichlet(rng, 0.5, (6, 4))
-            cb = Codebook(codewords=rows, alpha=0.5, seed=0)
+            cb = Codebook(codewords=rows)
             counts = SampleCounts(
                 rng.multinomial(12, channel._dirichlet(rng, 0.5, 4)),
                 trials=12)
@@ -183,19 +181,19 @@ class TestMlDecode:
 
     def test_tie_resolves_to_lowest_index(self):
         cw = np.array([[0.5, 0.5], [0.5, 0.5], [0.9, 0.1]])
-        cb = Codebook(codewords=cw, alpha=0.5, seed=0)
+        cb = Codebook(codewords=cw)
         sc = SampleCounts(counts=np.array([2, 2]), trials=4)
         assert ml_decode(sc, cb) == 0
 
     def test_all_zero_likelihood_is_an_error(self):
         cw = np.array([[1.0, 0.0], [1.0, 0.0]])
-        cb = Codebook(codewords=cw, alpha=0.5, seed=0)
+        cb = Codebook(codewords=cw)
         sc = SampleCounts(counts=np.array([0, 2]), trials=2)
         with pytest.raises(DecodeError):
             ml_decode(sc, cb)
 
     def test_length_mismatch(self):
-        cb = Codebook(codewords=np.array([[0.5, 0.5]]), alpha=0.5, seed=0)
+        cb = Codebook(codewords=np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
             ml_decode(SampleCounts(counts=np.array([1, 1, 0]), trials=2), cb)
 
@@ -219,7 +217,7 @@ class TestBatchedDecode:
         cw, counts = _batch(rng, 500, 6, 4, 12, zeros)
         decoded = channel._decode(counts, channel._log(cw))
         for t in range(cw.shape[0]):
-            cb = Codebook(codewords=cw[t], alpha=0.5, seed=0)
+            cb = Codebook(codewords=cw[t])
             sc = SampleCounts(counts=counts[t], trials=12)
             kls = [kl_divergence(sc, row) for row in cw[t]]
             assert decoded[t] == ml_decode(sc, cb) == int(np.argmin(kls))
@@ -385,7 +383,7 @@ class TestErrorSimulation:
                                                   messages])
         errors = sum(
             ml_decode(SampleCounts(counts=counts[t], trials=cfg.reads),
-                      Codebook(codewords=books[t], alpha=0.5, seed=0))
+                      Codebook(codewords=books[t]))
             != messages[t]
             for t in range(cfg.trials))
         assert estimate_error_probability(cfg).errors == errors > 0

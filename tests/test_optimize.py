@@ -24,7 +24,9 @@ class TestSearchInterval:
             maximize_scalar(_peak, 2.0, 2.0)
         with pytest.raises(ValueError, match="need lo < hi"):
             maximize_scalar(_peak, 1.0, 0.0)
-        for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        # The last pair is finite, but hi - lo overflows to inf.
+        for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                       (-1e308, 1e308)):
             with pytest.raises(ValueError,
                                match="interval endpoints must be finite"):
                 maximize_scalar(_peak, lo, hi)

@@ -324,18 +324,24 @@ class TestDenseXiGrid:
 
 class TestFiniteNBounds:
     def test_thm1_formula_identity(self):
-        query = BoundQuery(R=0.5, r=400.0, n=20)
+        query = BoundQuery(R=0.5, r=400.0)
         e_val = rc_exponent(query).E
         want = 2.0 * math.sqrt(2.0 * math.pi * math.e * 20 * 400.0) \
             * math.exp(-20 * e_val)
-        assert thm1_probability_bound(query) == pytest.approx(want, rel=1e-10)
+        got = thm1_probability_bound(query, 20)
+        assert got == pytest.approx(want, rel=1e-10)
 
     def test_thm1_needs_n(self):
-        with pytest.raises(ValueError):
-            thm1_probability_bound(BoundQuery(R=0.5, r=400.0))
+        query = BoundQuery(R=0.5, r=400.0)
+        with pytest.raises(TypeError):
+            thm1_probability_bound(query)
+        # 10**400 is beyond the float range, so n*r cannot be formed.
+        for n in (0, -3, 10**400):
+            with pytest.raises(ValueError, match=r"^n must be a positive "):
+                thm1_probability_bound(query, n)
 
     def test_thm1_decreasing_in_n(self):
-        vals = [thm1_probability_bound(BoundQuery(R=0.1, r=8.0, n=n))
+        vals = [thm1_probability_bound(BoundQuery(R=0.1, r=8.0), n)
                 for n in (20, 40, 80)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -348,8 +354,9 @@ class TestFiniteNBounds:
         assert isinstance(tail, KlTailBound)
 
     def test_lemma1_domain(self):
-        with pytest.raises(ValueError):
-            lemma1_tail_bound(0, 4.0, 0.1)
+        for n in (0, 10**400):
+            with pytest.raises(ValueError, match=r"^n must be a positive "):
+                lemma1_tail_bound(n, 4.0, 0.1)
         with pytest.raises(ValueError):
             lemma1_tail_bound(10, 4.0, 0.0)
 
@@ -358,5 +365,3 @@ class TestFiniteNBounds:
             BoundQuery(R=-0.1, r=400.0)
         with pytest.raises(ValueError):
             BoundQuery(R=0.1, r=0.0)
-        with pytest.raises(ValueError):
-            BoundQuery(R=0.1, r=400.0, n=0)

@@ -25,7 +25,7 @@ class Empty:
 RECORDS = [
     (RcParams, {"alpha": 0.5, "xi": 2.0}, {}),
     (Empty, {}, {}),
-    (BoundQuery, {"R": 0.5, "r": 400.0, "n": 10}, {"n": None}),
+    (BoundQuery, {"R": 0.5, "r": 400.0}, {}),
     (ExponentPoint, {"R": 0.1, "E": 0.2, "argmax": RcParams(0.5, 2.0)}, {}),
     (KlTailBound, {"bound": 0.3, "rho_n": 0.01}, {}),
     (ExSettings, {"rho_max": 50.0}, {"rho_max": 1000.0}),
@@ -34,8 +34,7 @@ RECORDS = [
                        "argmax": ExParams(0.3, 0.4, 0.5, 2.0),
                        "rho_capped": False}, {}),
     (FirQuery, {"g": 200.0, "r": 80.0}, {}),
-    (Codebook, {"codewords": np.array([[0.25, 0.75], [0.5, 0.5]]),
-                "alpha": 1.0, "seed": 3}, {}),
+    (Codebook, {"codewords": np.array([[0.25, 0.75], [0.5, 0.5]])}, {}),
     (SampleCounts, {"counts": np.array([1, 2]), "trials": 3}, {}),
     (SimConfig, {"n": 4, "r": 2.0, "alpha": 1.0, "trials": 10, "seed": 1,
                  "M": 2, "R": None, "parallelism": 2,
@@ -127,7 +126,7 @@ class TestRecord:
 
 
 def test_repr():
-    assert repr(BoundQuery(0.5, 400.0)) == "BoundQuery(R=0.5, r=400.0, n=None)"
+    assert repr(BoundQuery(0.5, 400.0)) == "BoundQuery(R=0.5, r=400.0)"
     assert repr(Empty()) == "Empty()"
     assert repr(ExponentPoint(0.1, 0.2, RcParams(0.5, 2.0))) == (
         "ExponentPoint(R=0.1, E=0.2, argmax=RcParams(alpha=0.5, xi=2.0))")
@@ -136,7 +135,7 @@ def test_repr():
 def test_records_of_another_class_or_value_differ():
     assert BoundQuery(0.5, 400.0) != BoundQuery(0.5, 100.0)
     assert KlTailBound(0.6, 1.0) != RcParams(0.6, 1.0)
-    assert len({BoundQuery(0.5, 400.0), BoundQuery(0.5, 400.0, None)}) == 1
+    assert len({BoundQuery(0.5, 400.0), BoundQuery(R=0.5, r=400.0)}) == 1
 
 
 def test_manifests_do_not_share_a_parameters_dict():
@@ -147,7 +146,7 @@ def test_manifests_do_not_share_a_parameters_dict():
 
 
 def test_post_init_normalises_a_field():
-    book = Codebook([[0.5, 0.5]], alpha=1.0, seed=0)
+    book = Codebook([[0.5, 0.5]])
     assert isinstance(book.codewords, np.ndarray)
     assert book.codewords.dtype == np.float64
     counts = SampleCounts([1, 2], trials=3)
@@ -160,15 +159,16 @@ def test_post_init_normalises_a_field():
     (RcParams, {"alpha": 0.5, "xi": 0.0}, "xi must be positive, got 0.0"),
     (RcParams, {"alpha": 0.4, "xi": 1.0}, "alpha must be at least 1/2"),
     (BoundQuery, {"R": -1.0, "r": 4.0}, r"R must be finite and >= 0, got -1.0"),
-    (BoundQuery, {"R": 0.1, "r": 4.0, "n": 0}, "n must be a positive count"),
+    (SimConfig, {"n": 4, "r": 2.0, "alpha": 1.0, "trials": 10, "seed": 1,
+                 "M": 2, "parallelism": 0},
+     "parallelism must be a positive count, got 0"),
     (ExponentPoint, {"R": 0.1, "E": -1.0, "argmax": RcParams(0.5, 1.0)},
      "exponent must be nonnegative"),
     (ExSettings, {"rho_max": 1.0}, "rho_max must be finite and exceed 1"),
     (ExParams, {"kappa": 1.5, "sigma": 0.5, "lam": 0.5, "rho": 2.0},
      r"kappa must lie in \(0, 1\), got 1.5"),
     (FirQuery, {"g": 0.0, "r": 1.0}, "g must be positive, got 0.0"),
-    (Codebook, {"codewords": [[0.5, 0.6]], "alpha": 1.0, "seed": 0},
-     "each codeword must sum to 1"),
+    (Codebook, {"codewords": [[0.5, 0.6]]}, "each codeword must sum to 1"),
     (SampleCounts, {"counts": [1, 2], "trials": 4},
      "counts must sum to the number of trials"),
     (SimConfig, {"n": 4, "r": 2.0, "alpha": 1.0, "trials": 10, "seed": 1},
