@@ -9,11 +9,13 @@ every estimate is independent of how work is split across processes:
 one driver, ``_chunked``, splits the trials into chunks whose size depends
 only on the problem and gives each chunk a substream and a kernel that
 vectorizes inside it and returns (sum w, sum w^2, events), which the driver
-alone reduces.  The error-probability kernel draws a chunk's codebooks,
-messages and reads in one call each and decodes them at once.  The
-divergence-tail kernel draws all of a chunk's points in one call, then its
-reads and divergences in consecutive row blocks of about 2^15 entries; the
-multinomial draws row after row, so the block size never changes a value.
+alone reduces.  The error-probability kernel draws a chunk's codebooks and
+messages in one call each and its reads in row blocks of about 2^12
+entries, then overwrites the codebooks with their logs, log 0 clamped to
+a finite stand-in, and decodes from that one buffer; a shared codebook's
+logs are taken once and only read.  The divergence-tail kernel draws all of a chunk's points in one call, then its
+reads and divergences in consecutive row blocks of about 2^15 entries.  The
+multinomial draws row after row, so no block size changes a value.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ __all__ = [
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SIMPLEX_ATOL = 1e-12
+# Stand-in for log 0 in the decoder: finite, so that times a zero count it
+# adds 0, and below every finite log-likelihood, which is at least -745 per
+# read (the log of the smallest float) over fewer than 2^63 reads.
+_LOG_ZERO = -1e300
 
 # Stream tags, and the trials of one chunk.
 _STREAM_ERROR_CHUNK = 0
@@ -70,6 +76,11 @@ _MAX_CHUNKS = 1 << 20
 # float64, about an L2 cache): the block's counts, frequencies and terms stay
 # small beside the chunk's points.
 _BLOCK_ENTRIES = 1 << 15
+# Entries in one row block of an error chunk's message rows and reads: with
+# its buffer and counts, a chunk at M = 2 stays under the ~1 MiB of freed
+# heap at which glibc returns memory to the system for the next chunk to
+# fault back in.
+_READ_BLOCK_ENTRIES = 1 << 12
 
 
 class DecodeError(RuntimeError):
@@ -396,22 +407,24 @@ def kl_divergence(q, p) -> float:
     return float(_rel_entr_sum(qv[None], pv[None])[0])
 
 
-def _log(codewords: np.ndarray) -> np.ndarray:
+def _log(codewords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logs of ``codewords``, into ``out`` if given, with log 0 = _LOG_ZERO."""
     with np.errstate(divide="ignore"):
-        return np.log(codewords)
+        logs = np.log(codewords, out=out)
+    return np.maximum(logs, _LOG_ZERO, out=logs)
 
 
 def _decode(counts: np.ndarray, log_codewords: np.ndarray) -> np.ndarray:
     """Index of the codeword maximizing sum_t N_t log p_m(t), per row.
 
-    ``counts`` is (trials, n); ``log_codewords`` is (trials, M, n), or
-    (M, n) when every trial shares one codebook.  Types with zero count
-    drop out of the sum (0 log 0 = 0), and np.argmax resolves exact ties
-    to the lowest index.
+    ``counts`` is (trials, n); ``log_codewords`` is (trials, M, n), one
+    codebook per trial, from ``_log``.  A type of probability zero adds 0
+    where its count is 0 (0 log 0 = 0), and otherwise puts the sum at or
+    below _LOG_ZERO, a likelihood of zero; every other sum is the one that
+    log 0 = -inf gives.  np.argmax resolves exact ties to the lowest index.
     """
-    terms = np.where(counts[:, None, :] > 0, log_codewords, 0.0)
-    ll = np.einsum("tmn,tn->tm", terms, counts)
-    if np.isneginf(ll).all(axis=1).any():
+    ll = np.einsum("tmn,tn->tm", log_codewords, counts)
+    if (ll <= _LOG_ZERO).all(axis=1).any():
         raise DecodeError("every codeword has likelihood zero")
     return ll.argmax(axis=1)
 
@@ -426,7 +439,8 @@ def ml_decode(counts: SampleCounts, codebook: Codebook) -> int:
     """
     if len(counts.counts) != codebook.n:
         raise ValueError("counts and codebook disagree on the type count")
-    return int(_decode(counts.counts[None, :], _log(codebook.codewords))[0])
+    return int(_decode(counts.counts[None, :],
+                       _log(codebook.codewords)[None])[0])
 
 
 def _wilson_ci(errors: int, trials: int) -> tuple[float, float]:
@@ -451,14 +465,24 @@ def wilson_std_err(errors: int, trials: int) -> float:
 
 def _error_chunk(rng: np.random.Generator, size: int, n: int, reads: int,
                  alpha: float, m: int, fixed) -> tuple[int, int, int]:
+    # A fresh chunk's buffer holds its codebooks, then, after the reads, their
+    # logs.  Row blocks take the same stream as one multinomial call; the
+    # counts are float64, as the decoder's einsum would cast them.
     if fixed is None:
         codewords = _dirichlet(rng, alpha, (size, m, n))
-        log_codewords = _log(codewords)
     else:
         codewords = np.broadcast_to(fixed[0], (size, m, n))
-        log_codewords = fixed[1]
     messages = rng.integers(m, size=size)
-    counts = rng.multinomial(reads, codewords[np.arange(size), messages])
+    counts = np.empty((size, n))
+    block = max(1, _READ_BLOCK_ENTRIES // n)
+    for lo in range(0, size, block):
+        hi = min(size, lo + block)
+        counts[lo:hi] = rng.multinomial(
+            reads, codewords[np.arange(lo, hi), messages[lo:hi]])
+    if fixed is None:
+        log_codewords = _log(codewords, out=codewords)
+    else:
+        log_codewords = np.broadcast_to(fixed[1], (size, m, n))
     errors = int(np.count_nonzero(_decode(counts, log_codewords) != messages))
     return errors, errors, errors
 
@@ -526,10 +550,16 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
 def _bc_tail_chunk(rng: np.random.Generator, size: int, n: int,
                    lam: float) -> tuple[int, int, int]:
     # Dirichlet(1/2) overlap via normal vectors: sum |x_k y_k| / (|x| |y|).
-    # The norms first, so that |x y| can overwrite x.
+    # The norms first, in row blocks (a row's norm is its own sum), so that
+    # |x y| can overwrite x.
     x = rng.standard_normal((size, n))
     y = rng.standard_normal((size, n))
-    norms = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+    norms = np.empty(size)
+    block = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, size, block):
+        rows = slice(lo, lo + block)
+        norms[rows] = (np.linalg.norm(x[rows], axis=1)
+                       * np.linalg.norm(y[rows], axis=1))
     overlap = np.abs(np.multiply(x, y, out=x), out=x).sum(axis=1)
     overlap /= norms
     exceed = int(np.count_nonzero(overlap >= lam))

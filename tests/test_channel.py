@@ -367,26 +367,64 @@ class TestErrorSimulation:
         assert seen[0] == [(0, 1638), (1, 1638), (2, 1638), (3, 86)]
 
     @pytest.mark.parametrize("fresh", [True, False])
-    def test_chunk_matches_per_trial_decode(self, fresh):
-        # Replays one chunk's draws and decodes each trial on its own
-        # against its own codebook.
-        cfg = SimConfig(n=3, r=2.0, alpha=0.5, trials=300, seed=5, M=4,
-                        fresh_codebook=fresh)
-        rng = channel._substream(cfg.seed, channel._STREAM_FIXED_CODEBOOK, 0)
-        books = channel._dirichlet(rng, cfg.alpha, (4, 3))
-        rng = channel._substream(cfg.seed, channel._STREAM_ERROR_CHUNK, 0)
-        if fresh:
-            books = channel._dirichlet(rng, cfg.alpha, (cfg.trials, 4, 3))
-        books = np.broadcast_to(books, (cfg.trials, 4, 3))
-        messages = rng.integers(4, size=cfg.trials)
-        counts = rng.multinomial(cfg.reads, books[np.arange(cfg.trials),
-                                                  messages])
-        errors = sum(
-            ml_decode(SampleCounts(counts=counts[t], trials=cfg.reads),
-                      Codebook(codewords=books[t]))
-            != messages[t]
-            for t in range(cfg.trials))
-        assert estimate_error_probability(cfg).errors == errors > 0
+    def test_chunk_matches_per_trial_decode(self, monkeypatch, fresh):
+        # Replays every chunk's draws (1638 + 1638 + 224 trials, the reads in
+        # row blocks of 409) and decodes each trial on its own against its
+        # own codebook.  A simulation that wrote into the shared codebook
+        # would decode later chunks against altered logs, and would differ
+        # between parallelism 1 and 3.
+        shared = []
+        chunked = channel._chunked
+
+        def spy(kernel, tag, seed, trials, params, *args, **kwargs):
+            shared.append(params[-1])
+            return chunked(kernel, tag, seed, trials, params, *args, **kwargs)
+
+        monkeypatch.setattr(channel, "_chunked", spy)
+        base = dict(n=10, r=1.0, alpha=0.5, trials=3500, seed=5, M=4,
+                    fresh_codebook=fresh)
+        reports = [estimate_error_probability(SimConfig(**base,
+                                                        parallelism=p))
+                   for p in (1, 3)]
+        rng = channel._substream(5, channel._STREAM_FIXED_CODEBOOK, 0)
+        book = channel._dirichlet(rng, 0.5, (4, 10))
+        errors = 0
+        for index, start in enumerate(range(0, 3500, 1638)):
+            size = min(1638, 3500 - start)
+            rng = channel._substream(5, channel._STREAM_ERROR_CHUNK, index)
+            books = np.broadcast_to(book, (size, 4, 10))
+            if fresh:
+                books = channel._dirichlet(rng, 0.5, (size, 4, 10))
+            messages = rng.integers(4, size=size)
+            counts = rng.multinomial(10, books[np.arange(size), messages])
+            for t in range(size):
+                codebook = Codebook(codewords=books[t])
+                before = codebook.codewords.copy()
+                errors += ml_decode(SampleCounts(counts=counts[t], trials=10),
+                                    codebook) != messages[t]
+                assert np.array_equal(codebook.codewords, before)
+        assert reports[0].errors == reports[1].errors == errors > 0
+        for fixed in shared:
+            assert fresh or (np.array_equal(fixed[0], book)
+                             and np.array_equal(fixed[1], channel._log(book)))
+
+    # Recorded before a chunk's codebook buffer took its logs, log 0 was
+    # clamped and the reads were drawn in row blocks.
+    @pytest.mark.parametrize("fresh, alpha, errors, wilson_ci", [
+        (True, 0.001, 541, (0.12500106556157847, 0.1461988483182588)),
+        (True, 0.5, 20, (0.0032391284674616835, 0.007710720389342788)),
+        (True, 1.5, 216, (0.047413974906787615, 0.061441848507626115)),
+        (False, 0.001, 973, (0.2302044424280183, 0.25678823170124343)),
+        (False, 0.5, 25, (0.004237069176935509, 0.00921038107164471)),
+        (False, 1.5, 293, (0.06557866825719237, 0.08174021659056784)),
+    ])
+    def test_reports_pinned(self, fresh, alpha, errors, wilson_ci):
+        rep = estimate_error_probability(SimConfig(
+            n=10, r=2.0, alpha=alpha, M=4, trials=4000, seed=4,
+            fresh_codebook=fresh))
+        assert rep == SimReport(errors=errors, trials=4000,
+                                eps_hat=errors / 4000, wilson_ci=wilson_ci,
+                                thm1_bound=36.964272962250604)
 
     def test_single_message_never_errs_in_chunks(self):
         for fresh in (True, False):
@@ -503,6 +541,42 @@ class TestTailChunks:
         peak = _peak_bytes(channel._bc_tail_chunk, channel._STREAM_BC_CHUNK,
                            4096, 50, 0.9)
         assert peak <= 3 * 4096 * 50 * 8 + (1 << 20)
+
+    def test_bc_chunk_holds_its_draws_and_one_block(self):
+        # 4.78 MiB when np.linalg.norm squared all of x at once.
+        peak = _peak_bytes(channel._bc_tail_chunk, channel._STREAM_BC_CHUNK,
+                           4096, 50, 0.9)
+        assert peak <= 2 * 4096 * 50 * 8 + (1 << 20)
+
+    def test_blocked_norms_equal_one_norm_call(self):
+        # Thresholds at overlaps taken with whole-chunk norms (7 blocks of
+        # 655 rows at n = 50): a one-ulp move of any of them changes a count.
+        rng = channel._substream(1, channel._STREAM_BC_CHUNK, 0)
+        x = rng.standard_normal((4096, 50))
+        y = rng.standard_normal((4096, 50))
+        want = np.abs(x * y).sum(axis=1) / (np.linalg.norm(x, axis=1)
+                                            * np.linalg.norm(y, axis=1))
+        for lam in want[::256]:
+            events = channel._bc_tail_chunk(
+                channel._substream(1, channel._STREAM_BC_CHUNK, 0), 4096, 50,
+                lam)
+            assert events[0] == np.count_nonzero(want >= lam)
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    @pytest.mark.parametrize("size, m, n", [(25, 256, 10), (819, 2, 40)])
+    def test_error_chunk_holds_one_codebook_buffer(self, size, m, n, fresh):
+        # The buffer, the counts and one read block.  The peaks were 1,576
+        # and 1,841 KiB with fresh codebooks when the logs and the masked
+        # terms took two more buffers and the reads were drawn at once.
+        fixed = None
+        if not fresh:
+            book = channel._dirichlet(
+                channel._substream(1, channel._STREAM_FIXED_CODEBOOK, 0), 0.5,
+                (m, n))
+            fixed = (book, channel._log(book))
+        peak = _peak_bytes(channel._error_chunk, channel._STREAM_ERROR_CHUNK,
+                           size, n, 4 * n, 0.5, m, fixed)
+        assert peak <= size * m * n * 8 + size * n * 8 + (1 << 18)
 
     @pytest.mark.parametrize("name", ["kl", "bc"])
     def test_oversized_chunk_refused_first(self, monkeypatch, name,
