@@ -13,9 +13,9 @@ alone reduces.  The error-probability kernel draws a chunk's codebooks and
 messages in one call each and its reads in row blocks of about 2^12
 entries, then overwrites the codebooks with their logs, log 0 clamped to
 a finite stand-in, and decodes from that one buffer; a shared codebook's
-logs are taken once and only read.  The divergence-tail kernel draws all of a chunk's points in one call, then its
-reads and divergences in consecutive row blocks of about 2^15 entries.  The
-multinomial draws row after row, so no block size changes a value.
+logs are taken once and only read.  The divergence-tail kernel works in row
+blocks of about 2^15 entries: each draws its points, sorts every row, then
+draws its reads and divergences, so its values depend on the block size.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ _ERROR_CHUNK_ENTRIES = 1 << 16
 _MAX_CODEBOOK_ENTRIES = 1 << 24
 # Chunks one estimator run may take; checked before its job list is built.
 _MAX_CHUNKS = 1 << 20
-# Entries in one row block of a divergence-tail chunk's reads (256 KiB of
-# float64, about an L2 cache): the block's counts, frequencies and terms stay
-# small beside the chunk's points.
+# Entries in one row block of a divergence-tail chunk (256 KiB of float64,
+# about an L2 cache): the chunk holds one block's points, counts, frequencies
+# and terms at a time.
 _BLOCK_ENTRIES = 1 << 15
 # Entries in one row block of an error chunk's message rows and reads: with
 # its buffer and counts, a chunk at M = 2 stays under the ~1 MiB of freed
@@ -519,14 +519,16 @@ def estimate_error_probability(config: SimConfig) -> SimReport:
 
 def _kl_tail_chunk(rng: np.random.Generator, size: int, n: int, reads: int,
                    alpha: float, rho_n: float) -> tuple[int, int, int]:
-    # All points first, then the reads and divergences block by block:
-    # multinomial draws row after row from one bit generator, so the blocks
-    # take the same stream as one call over the chunk.
-    p = _dirichlet(rng, alpha, (size, n))
+    # Each block draws its points, sorts every row ascending, then reads them.
+    # One permutation of both q and p leaves D(q || p) as it was, and the
+    # multinomial over permuted p is the permuted multinomial, so the sort
+    # keeps every event's law; it puts the heavy types last, where numpy's
+    # conditional binomials draw their small complements.
     block = max(1, _BLOCK_ENTRIES // n)
     exceed = 0
     for lo in range(0, size, block):
-        rows = p[lo:lo + block]
+        rows = _dirichlet(rng, alpha, (min(block, size - lo), n))
+        rows.sort(axis=1)
         div = _rel_entr_sum(rng.multinomial(reads, rows) / reads, rows)
         exceed += int(np.count_nonzero(div >= rho_n))
     return exceed, exceed, exceed

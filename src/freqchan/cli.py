@@ -358,4 +358,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console() -> None:
+    # numpy's OpenBLAS starts worker threads at import that spin for ~0.1 s
+    # of CPU, and freqchan calls no threaded BLAS.  A caller's setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

@@ -57,6 +57,8 @@ __all__ = [
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
+# Largest x with exp(x) finite: xi_LB needs exp(Delta/r).
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Delta's root bracket (2, hi]: hi doubles from q = 4 at most
 # _DELTA_DOUBLINGS times.
 _DELTA_DOUBLINGS = 16
@@ -199,10 +201,13 @@ def rc_exponent(query: BoundQuery) -> ExponentPoint:
     A = Lambda - xi Delta - R equals [A]_+ / (1 + xi) exactly (the two
     branches cross at mu = A / (1 + xi), which is E itself), so only
     alpha = 1/2 and xi make up the witness.  Below R_LB, xi is the root
-    of A - (1 + xi) A' = R; from R_LB on, E = 0 and xi = xi_LB.
+    of A - (1 + xi) A' = R; from R_LB on, E = 0 and xi = xi_LB.  An r
+    below ~6.03e-309, where exp(Delta/r) overflows, is refused.
     """
     r, rate = float(query.r), query.R
     delta = delta_fn(r)
+    if delta / r > _LOG_FLOAT_MAX:
+        raise ValueError(f"r = {r} is too small: exp(Delta(r) / r) overflows")
     xi_lb = 0.5 / (r * math.expm1(delta / r))  # A'(xi_LB) = 0
     if rate >= _r_lb(r, delta):
         return ExponentPoint(R=rate, E=0.0, argmax=RcParams(0.5, xi_lb))

@@ -507,11 +507,18 @@ class TestTailChunks:
         (20, 100, 1.5, 0.15, 808, 2, 1),   # the last chunk of 9000 trials
         (100, 400, 0.5, 0.11, 4096, 0, 13),
     ])
-    def test_blocked_reads_equal_one_multinomial_call(
+    def test_blocks_draw_sort_then_read(
             self, monkeypatch, n, reads, alpha, rho_n, size, index, blocks):
+        # Each block's points, sorted row by row, then its reads, all from
+        # the chunk's one substream.
         rng = channel._substream(1, channel._STREAM_KL_CHUNK, index)
-        p = channel._dirichlet(rng, alpha, (size, n))
-        want = channel._rel_entr_sum(rng.multinomial(reads, p) / reads, p)
+        step = channel._BLOCK_ENTRIES // n
+        want = []
+        for lo in range(0, size, step):
+            rows = np.sort(channel._dirichlet(rng, alpha,
+                                              (min(step, size - lo), n)))
+            want.append(channel._rel_entr_sum(
+                rng.multinomial(reads, rows) / reads, rows))
         rel_entr_sum = channel._rel_entr_sum
         seen = []
 
@@ -523,17 +530,41 @@ class TestTailChunks:
         events = channel._kl_tail_chunk(
             channel._substream(1, channel._STREAM_KL_CHUNK, index), size, n,
             reads, alpha, rho_n)
-        assert len(seen) == blocks
-        assert np.array_equal(np.concatenate(seen), want)
-        assert events == (int(np.count_nonzero(want >= rho_n)),) * 3
-        assert events[0] > 0
+        assert len(seen) == len(want) == blocks
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+        exceed = int(np.count_nonzero(np.concatenate(want) >= rho_n))
+        assert exceed > 0 and events == (exceed,) * 3
+
+    def test_sorted_rows_keep_the_tail_frequency(self):
+        # Sorting both the point and its reads leaves the divergence as it
+        # was, so the kernel's frequency must match unsorted points read
+        # directly, here with ~15,500 events a side out of 49,152.  Rows
+        # sorted after their reads were drawn would be read against the
+        # wrong types, and nearly every draw would cross rho_n.
+        n, reads, alpha, rho_n, chunks = 20, 100, 0.5, 0.1, 12
+        trials = chunks * channel._CHUNK
+        got = sum(channel._kl_tail_chunk(
+            channel._substream(5, channel._STREAM_KL_CHUNK, i),
+            channel._CHUNK, n, reads, alpha, rho_n)[0] for i in range(chunks))
+        rng = np.random.default_rng(6)
+        unsorted = 0
+        for _ in range(chunks):
+            p = channel._dirichlet(rng, alpha, (channel._CHUNK, n))
+            div = channel._rel_entr_sum(rng.multinomial(reads, p) / reads, p)
+            unsorted += int(np.count_nonzero(div >= rho_n))
+        assert min(got, unsorted) >= 5000
+        a, b = got / trials, unsorted / trials
+        se = math.sqrt((a * (1 - a) + b * (1 - b)) / trials)
+        assert abs(a - b) <= 3 * se
 
     def test_kl_chunk_holds_its_points_and_one_block(self):
-        # 12.96 MiB when the chunk's reads were drawn in one call.
+        # One block's points, counts, frequencies and terms (~868 KiB): 3.72
+        # MiB when the chunk's points were drawn in one call, and 12.96 MiB
+        # when its reads were too.
         rho_n = channel.lemma1_tail_bound(100, 4.0, 0.1).rho_n
         peak = _peak_bytes(channel._kl_tail_chunk, channel._STREAM_KL_CHUNK,
                            4096, 100, 400, 0.5, rho_n)
-        assert peak <= 4096 * 100 * 8 + (1 << 20)
+        assert peak <= 1 << 20
 
     def test_bc_chunk_holds_its_draws_and_one_temporary(self):
         # x, y and the square np.linalg.norm forms; 6.25 MiB when |x y| was
@@ -841,7 +872,7 @@ class TestChunkDriver:
         assert (fresh.errors, fixed.errors) == (750, 896)
         assert _kl_tail().empirical == 26 / 9000
         assert _bc_tail().empirical == 0.01835
-        assert _kl_tail().events == 26
+        assert _kl_tail().events == 26  # unmoved in 0.1.12 by coincidence
         assert _bc_tail().events == 367
         moment = estimate_product_moment(
             [0.002, 0.3, 0.5, 1.7], [0.5, 1.0, 0.0, 2.0], trials=50_000,
@@ -851,6 +882,10 @@ class TestChunkDriver:
         # Recorded in 0.1.10, when tiny-alpha rows moved to the log domain.
         assert _error(trials=2500, alpha=0.001).errors == 2331
         assert _error(trials=2500, alpha=0.001, fresh=False).errors == 2367
+        # Recorded in 0.1.12, when divergence-tail blocks began to draw and
+        # sort their own points (84 events before); 819-row blocks at n = 40.
+        assert estimate_kl_tail(n=40, r=0.25, alpha=1.5, mu=0.01, trials=9000,
+                                seed=2).events == 68
 
 
 class TestReportInvariants:

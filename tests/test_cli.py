@@ -82,6 +82,7 @@ BAD_INPUT = [
     ["rates", "--r", "1:3:1", "--g", "abc"],
     ["simulate", "--n", "10", "--r", "1e-300", "--M", "2", "--trials", "100"],
     ["simulate", "--n", "10", "--r", "1e-10", "--M", "2", "--trials", "100"],
+    ["exponents", "--r", "1e-320", "--rate", "0:2:0.5"],
 ]
 
 
@@ -501,6 +502,49 @@ class TestModuleEntryPoint:
                          "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == EXIT_USAGE
         assert "usage error" in proc.stderr
+
+
+class TestConsoleBlasThreads:
+    """``console`` asks OpenBLAS for one thread unless the caller chose."""
+
+    SCRIPT = """
+import json, os, sys
+from freqchan.cli import console
+sys.argv = ["freqchan", "simulate", "--n", "10", "--r", "2", "--M", "4",
+            "--trials", "200", "--seed", "1", "--parallelism", "1",
+            "--out", sys.argv[1]]
+try:
+    console()
+except SystemExit as exc:
+    code = exc.code
+tasks = "/proc/self/task"
+print(json.dumps({"code": code,
+                  "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": len(os.listdir(tasks))
+                  if os.path.isdir(tasks) else None}))
+"""
+
+    def _run(self, tmp_path, **env):
+        child = _child_env()
+        child.pop("OPENBLAS_NUM_THREADS", None)
+        child.update(env)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT,
+                               str(tmp_path / "s.csv")], env=child,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().split("\n")[-1])
+        assert seen["code"] == EXIT_OK
+        return seen
+
+    def test_one_thread_left_after_simulate(self, tmp_path):
+        seen = self._run(tmp_path)
+        assert seen["blas"] == "1"
+        if seen["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert seen["threads"] == 1
+
+    def test_caller_setting_is_kept(self, tmp_path):
+        assert self._run(tmp_path, OPENBLAS_NUM_THREADS="2")["blas"] == "2"
 
 
 class TestRuntimeImports:

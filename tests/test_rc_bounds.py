@@ -253,6 +253,21 @@ class TestRcExponent:
         assert pt.argmax.xi == pytest.approx(
             1.0 / (800.0 * math.expm1(delta / 400.0)), rel=1e-15)
 
+    @pytest.mark.parametrize("r", [5e-324, 1e-320, 1e-310, 6.03e-309])
+    def test_subnormal_r_is_a_value_error(self, r):
+        # exp(Delta/r) overflows below r ~ 6.03e-309; it once raised
+        # OverflowError in rc_exponent and thm1_probability_bound alike.
+        query = BoundQuery(R=0.0, r=r)
+        with pytest.raises(ValueError, match=rf"^r = {r} is too small"):
+            rc_exponent(query)
+        with pytest.raises(ValueError, match=rf"^r = {r} is too small"):
+            thm1_probability_bound(query, 10)
+
+    def test_smallest_accepted_r(self):
+        # Just above the cut: R_LB is about -log(2)/2, so E = 0 at every R.
+        pt = rc_exponent(BoundQuery(R=0.0, r=6.04e-309))
+        assert pt.E == 0.0 and 0.0 < pt.argmax.xi < 1.0
+
     def test_params_validation(self):
         RcParams(alpha=0.5, xi=0.1)
         with pytest.raises(ValueError):
