@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import sys
 
 import numpy as np
 import numpy.random  # noqa: F401  at import, not lazily at the first draw
@@ -151,8 +152,9 @@ def _check_tail_chunk(n: int) -> None:
 
 
 def _reads(n: int, r: float) -> int:
-    """The n * r reads of one transmission: integral, from 1 to 2**63 - 1."""
-    reads = n * r
+    """The n * r reads of one transmission: integral, from 1 to 2**63 - 1.
+    An n past the float range gives none, rather than an OverflowError."""
+    reads = n * r if n <= sys.float_info.max else math.inf
     if not (math.isfinite(reads) and abs(reads - round(reads)) <= 1e-9
             and 1 <= round(reads) <= np.iinfo(np.int64).max):
         raise ValueError(f"n * r must be an integral read count from 1 to "

@@ -275,11 +275,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else _default_seed()
     results = run_suites(args.suite, seed)
-    failed = 0
     for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        failed += not ok
-        print(f"{status} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    failed = sum(not ok for _, ok, _ in results)
     print(f"verify: suite={args.suite} checks={len(results)} failed={failed}")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 

@@ -27,7 +27,8 @@ K = Phi - q Phi'.  c is a Dirichlet series with positive terms, so it is
 log-convex, 1 + c is log-convex and Phi is convex: K' = -q Phi'' < 0.  K
 falls from +inf at q = 2 to 0 as q grows, so h has one stationary point,
 the root of log K = log Psi, which ``newton_root`` finds with zeta, zeta'
-and zeta'' from ``zeta_jet``.
+and zeta'' from ``zeta_jet``.  Near q = 2, K ~ 2/(q - 2): the root is near
+q0 = 2 + 2/Psi.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_GAMMA_HALF = math.lgamma(0.5)
 # Largest x with exp(x) finite: xi_LB needs exp(Delta/r).
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Delta's root bracket (2, hi]: hi doubles from q = 4 at most
@@ -163,12 +165,12 @@ def _delta_slope(q: float, log_psi: float) -> tuple[float, float]:
 def delta_fn(r: float) -> float:
     """inf over q > 2 of (1 - 1/q) Psi(r) + (1/q) log(1 + (2 pi)^(-q/2) zeta(q/2)).
 
-    The objective h has one stationary point (see the module notes).  hi
-    doubles from 4 until h'(hi) >= 0, which puts it in (hi/2, hi], or in
-    (2, 4]; one ``newton_root`` from hi finds it and h there is the value.
-    The bracket is closed by q = 1024 at the latest: once the zeta term
-    underflows (q ~ 810), h = (1 - 1/q) Psi(r) only grows.  Results are
-    memoized per r; the value never exceeds Psi(r), the q -> inf limit.
+    The objective h has one stationary point (see the module notes), in
+    (2, q0] if q0 < 4 and h'(q0) >= 0 (r in ~[0.54, 2e141]), else in
+    (hi/2, hi] or (2, 4] at the first hi = 4, 8, ... with h'(hi) >= 0.
+    One ``newton_root`` from hi finds it; h there is the value.  hi is at
+    most 1024: h = (1 - 1/q) Psi(r) grows once the zeta term underflows
+    (q ~ 810).  Memoized per r; the value never exceeds Psi(r) (q -> inf).
     """
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
@@ -177,16 +179,24 @@ def delta_fn(r: float) -> float:
 
 @functools.lru_cache(maxsize=4096)
 def _delta_cached(r: float) -> float:
-    log_psi = math.log(psi_fn(r))
+    psi = psi_fn(r)
+    log_psi = math.log(psi)
     # The bracket's end is Newton's start, so its jet is computed once.
     slope = functools.lru_cache(maxsize=1)(
         lambda q: _delta_slope(q, log_psi))
-    lo, hi = 2.0, 4.0
+    q0 = 2.0 + 2.0 / psi  # the pole asymptote's root (module notes)
+    lo, hi = 2.0, (q0 if q0 < 4.0 and slope(q0)[0] >= 0.0 else 4.0)
     for _ in range(_DELTA_DOUBLINGS + 1):
         if slope(hi)[0] >= 0.0:
             return _delta_objective(newton_root(slope, lo, hi, hi), r)
         lo, hi = hi, 2.0 * hi
     raise ArithmeticError(f"no bracket for Delta's q-infimum at r = {r}")
+
+
+def _a_half(xi: float, r: float, delta: float) -> float:
+    """lambda_fn(r, 1/2, xi) - xi Delta, unchecked, bit for bit."""
+    return 0.5 * psi_fn(xi * r / 0.5) - _HALF_LOG_2PI + _LOG_GAMMA_HALF \
+        - xi * delta
 
 
 def _r_lb(r: float, delta: float) -> float:
@@ -212,17 +222,14 @@ def rc_exponent(query: BoundQuery) -> ExponentPoint:
     if rate >= _r_lb(r, delta):
         return ExponentPoint(R=rate, E=0.0, argmax=RcParams(0.5, xi_lb))
 
-    def a_fn(xi: float) -> float:
-        return lambda_fn(r, 0.5, xi) - xi * delta
-
     def phi(xi: float) -> tuple[float, float]:
         slope = r * math.log1p(0.5 / (xi * r)) - delta
-        return (a_fn(xi) - (1.0 + xi) * slope - rate,
+        return (_a_half(xi, r, delta) - (1.0 + xi) * slope - rate,
                 (1.0 + xi) * r / (xi * (1.0 + 2.0 * xi * r)))
 
     xi = newton_root(phi, 0.0, xi_lb, xi_lb)
-    return ExponentPoint(R=rate, E=max(a_fn(xi) - rate, 0.0) / (1.0 + xi),
-                         argmax=RcParams(0.5, xi))
+    e = max(_a_half(xi, r, delta) - rate, 0.0) / (1.0 + xi)
+    return ExponentPoint(R=rate, E=e, argmax=RcParams(0.5, xi))
 
 
 def rate_lower_bound(r: float) -> float:
@@ -264,6 +271,5 @@ def lemma1_tail_bound(n: int, r: float, mu: float) -> KlTailBound:
         raise ValueError(f"r must be positive, got {r}")
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be positive, got {mu}")
-    prefactor = _log_prefactor(n, r)
-    return KlTailBound(bound=math.exp(prefactor - n * mu),
+    return KlTailBound(bound=math.exp(_log_prefactor(n, r) - n * mu),
                        rho_n=(delta_fn(r) + mu) / r)

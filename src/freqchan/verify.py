@@ -199,15 +199,9 @@ SUITES = {
 
 
 def run_suites(suite: str, seed: int = 0) -> list[Check]:
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    results: list[Check] = []
-    for name in names:
-        results.extend(SUITES[name](seed))
-    return results
+    names = list(SUITES) if suite == "all" else [suite]
+    return [check for name in names for check in SUITES[name](seed)]

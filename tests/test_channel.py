@@ -300,6 +300,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=r"n \* r"):
             estimate_kl_tail(n=10, r=r, alpha=0.5, mu=0.1, trials=100, seed=0)
 
+    def test_n_past_the_float_range_rejected(self):
+        # n * r once raised OverflowError, from converting n to a float.
+        with pytest.raises(ValueError, match=r"n \* r"):
+            SimConfig(n=10 ** 400, r=1.0, alpha=0.5, trials=1, seed=0, M=2)
+        with pytest.raises(ValueError, match=r"n \* r"):
+            estimate_kl_tail(n=10 ** 400, r=1.0, alpha=0.5, mu=0.1,
+                             trials=1, seed=0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             SimConfig(n=10, r=2.0, alpha=0.5, trials=10, seed=-1, M=4)

@@ -25,6 +25,21 @@ DELTA_20_DIGITS = {
     400.0: 4.2096048362846904687,
     1e10: 13.227100945447117817,
 }
+# Delta(r) as computed by version 0.1.12, from the doubling bracket.
+DELTA_PINNED = {
+    1e-3: 0.007001142311228988,
+    0.01: 0.04735477874311415,
+    0.1: 0.2603961779758032,
+    0.5: 0.6873805886145758,
+    1.0: 0.9665917185890541,
+    3.0: 1.5008945169594874,
+    12.0: 2.2563465954784188,
+    16.0: 2.417147823824761,
+    400.0: 4.209604836284691,
+    1e4: 5.959422373756938,
+    1e6: 8.412362195114614,
+    1e10: 13.227100945447118,
+}
 
 
 def _delta_grid_oracle(r: float, points: int = 40000, q_hi: float = 2000.0):
@@ -167,6 +182,27 @@ class TestDeltaFn:
             delta_fn(float(r))
             assert 0 < len(calls) <= most, r
 
+    def test_pole_start_saves_jets(self, monkeypatch):
+        # From the pole asymptote's root 2 + 2/Psi(r), just above Delta's
+        # root here, Newton takes at most 6 jets per r; the doubling
+        # bracket from q = 4 took up to 10.
+        jet, calls = rc_bounds.zeta_jet, []
+
+        def counted_jet(s):
+            calls.append(s)
+            return jet(s)
+
+        monkeypatch.setattr(rc_bounds, "zeta_jet", counted_jet)
+        for r in np.logspace(0.0, 10.0, 101):
+            rc_bounds._delta_cached.cache_clear()
+            calls.clear()
+            delta_fn(float(r))
+            assert len(calls) <= 6, r
+
+    @pytest.mark.parametrize("r, pinned", sorted(DELTA_PINNED.items()))
+    def test_within_two_ulp_of_the_pinned_values(self, r, pinned):
+        assert abs(delta_fn(r) - pinned) <= 2.0 * math.ulp(pinned)
+
     @pytest.mark.parametrize("r", [1e-300, 5e-324])
     def test_underflowed_zeta_term(self, r):
         # The zeta term, and the Newton slope with it, underflow near
@@ -234,6 +270,17 @@ class TestRcExponent:
         for R, r in ((0.0, 400.0), (1.0, 400.0), (0.2, 10.0), (2.5, 400.0)):
             pt = rc_exponent(BoundQuery(R=R, r=r))
             assert pt.argmax.alpha == 0.5
+
+    @pytest.mark.parametrize("r", [0.5, 4.0, 400.0, 1e5, 1e10])
+    def test_closed_form_a_keeps_lambda_bits(self, r):
+        # rc_exponent's A(xi) skips lambda_fn's checks but not its order
+        # of operations: -log(2 pi)/2 + log Gamma(1/2) is not -log(2)/2
+        # in floating point.
+        delta = delta_fn(r)
+        for xi in np.logspace(-10.0, 2.0, 500):
+            xi = float(xi)
+            want = lambda_fn(r, 0.5, xi) - xi * delta
+            assert rc_bounds._a_half(xi, r, delta) == want, xi
 
     def test_one_root_solve_below_the_rate_bound(self, monkeypatch):
         delta_fn(400.0)  # Delta's own root solve is not counted here
