@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from ._record import frozen
-from .special_fn import psi_fn
+from .special_fn import _finite, psi_fn
 
 __all__ = ["FirQuery", "converse_rate", "fir_rate"]
 
@@ -18,9 +18,9 @@ class FirQuery:
     r: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.g) and self.g > 0.0):
+        if not (_finite(self.g) and self.g > 0.0):
             raise ValueError(f"g must be positive, got {self.g}")
-        if not (math.isfinite(self.r) and self.r > 0.0):
+        if not (_finite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be positive, got {self.r}")
         if not math.isfinite(self.r / self.g):
             raise ValueError(f"g = {self.g} is too small: r / g overflows")
@@ -34,7 +34,7 @@ def converse_rate(r: float) -> float:
     other curves stay under it only for r >= 10; the paper's abstract
     states no range of r for it.
     """
-    if not (math.isfinite(r) and r > 0.0):
+    if not (_finite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     return 0.5 * math.log(r)
 

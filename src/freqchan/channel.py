@@ -21,7 +21,6 @@ draws its reads and divergences, so its values depend on the block size.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import sys
 
@@ -95,9 +94,13 @@ def _substream(seed: int, tag: int, index: int) -> np.random.Generator:
 
 def _map(fn, jobs: list, parallelism: int) -> list:
     """``[fn(job) for job in jobs]`` on at most ``parallelism`` workers, one
-    per job and per CPU; results keep the order of ``jobs`` either way."""
+    per job and per CPU; results keep the order of ``jobs`` either way.  The
+    pool's module loads on the first call with more than one worker, so a
+    serial run never imports it."""
     workers = min(parallelism, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             return pool.map(fn, jobs)
     return [fn(job) for job in jobs]
@@ -460,7 +463,12 @@ def _wilson_ci(errors: int, trials: int) -> tuple[float, float]:
 
 
 def wilson_std_err(errors: int, trials: int) -> float:
-    """Half-width of the 95% Wilson interval rescaled to one z unit."""
+    """Half-width of the 95% Wilson interval rescaled to one z unit, for
+    0 <= errors <= trials and trials from 1 to the float range."""
+    if not (1 <= trials <= sys.float_info.max and 0 <= errors <= trials):
+        raise ValueError(f"need 0 <= errors <= trials and 1 <= trials <= "
+                         f"{sys.float_info.max:g}, got errors = {errors}, "
+                         f"trials = {trials}")
     lo, hi = _wilson_ci(errors, trials)
     return (hi - lo) / (2.0 * _WILSON_Z)
 

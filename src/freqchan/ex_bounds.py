@@ -23,6 +23,7 @@ from ._record import frozen
 # tests/test_bench_bindings.py keeps the unused search bound here.
 from .optimize import maximize_scalar, newton_root  # noqa: F401
 from .rc_bounds import BoundQuery
+from .special_fn import _finite
 
 __all__ = ["ExExponentPoint", "ExParams", "ExSettings", "MEAN_ABS_XY",
            "ex_exponent", "f_kappa", "g_fn", "j_fn", "l_fn", "s_fn"]
@@ -65,7 +66,7 @@ class ExSettings:
     rho_max: float = 1000.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho_max) and self.rho_max > 1.0):
+        if not (_finite(self.rho_max) and self.rho_max > 1.0):
             raise ValueError("rho_max must be finite and exceed 1")
 
 
@@ -107,9 +108,9 @@ def f_kappa(kappa: float) -> float:
     Equals (1 + (2/pi) asin kappa) / sqrt(1 - kappa^2).  Finite only for
     kappa < 1; F(0) = 1 and F is increasing and convex on [0, 1).
     """
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and 0.0 <= kappa < 1.0):
+    if not 0.0 <= kappa < 1.0:
         raise ValueError(f"kappa must lie in [0, 1), got {kappa}")
+    kappa = float(kappa)
     return (1.0 + MEAN_ABS_XY * math.asin(kappa)) / math.sqrt(
         (1.0 - kappa) * (1.0 + kappa))
 
@@ -217,9 +218,9 @@ def g_fn(x: float) -> float:
 
     Zero for x <= E|XY| = 2/pi and strictly positive above it.
     """
-    x = float(x)
-    if not (math.isfinite(x) and 0.0 <= x < 1.0):
+    if not 0.0 <= x < 1.0:
         raise ValueError(f"x must lie in [0, 1), got {x}")
+    x = float(x)
     if x <= MEAN_ABS_XY:
         return 0.0
     return _chain(_kappa_at(0, x, _KAPPA_START))[4]
@@ -227,9 +228,9 @@ def g_fn(x: float) -> float:
 
 def j_fn(sigma: float) -> float:
     """Chi-square rate function (sigma - log sigma - 1) / 2 on (0, 1]."""
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and 0.0 < sigma <= 1.0):
+    if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    sigma = float(sigma)
     return 0.5 * (sigma - math.log(sigma) - 1.0)
 
 
@@ -240,9 +241,9 @@ def l_fn(lam: float) -> float:
     height of their crossing, G(kappa) at lam(kappa) = lam.  Zero at or
     below lam = 2/pi, strictly positive and increasing above it.
     """
-    lam = float(lam)
-    if not (math.isfinite(lam) and 0.0 < lam < 1.0):
+    if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    lam = float(lam)
     if lam <= MEAN_ABS_XY:
         return 0.0
     start = min(_KAPPA_START, (lam - MEAN_ABS_XY) / _LAM_SLOPE)
@@ -256,11 +257,11 @@ def s_fn(r: float, rho: float) -> float:
     is the height of their crossing, G(kappa) at rho(kappa) = rho; it is
     positive and decreasing in rho.  rho / r must not exceed 1e20.
     """
-    r, rho = float(r), float(rho)
-    if not (math.isfinite(r) and r > 0.0):
+    if not (_finite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
-    if not (math.isfinite(rho) and rho > 1.0):
+    if not (_finite(rho) and rho > 1.0):
         raise ValueError(f"rho must exceed 1, got {rho}")
+    r, rho = float(r), float(rho)
     if rho > _S_RHO_PER_R_MAX * r:
         raise ValueError(f"rho / r must be at most {_S_RHO_PER_R_MAX:g}, "
                          f"got rho = {rho}, r = {r}")

@@ -41,7 +41,7 @@ from ._record import frozen
 # perfbench/tracer.py wraps rc_bounds.maximize_scalar and zeta;
 # tests/test_bench_bindings.py keeps the unused search bound here.
 from .optimize import maximize_scalar, newton_root  # noqa: F401
-from .special_fn import log_gamma, psi_fn, zeta, zeta_jet
+from .special_fn import _finite, log_gamma, psi_fn, zeta, zeta_jet
 
 __all__ = [
     "BoundQuery",
@@ -88,9 +88,9 @@ class BoundQuery:
     r: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.R) and self.R >= 0.0):
+        if not (_finite(self.R) and self.R >= 0.0):
             raise ValueError(f"R must be finite and >= 0, got {self.R}")
-        if not (math.isfinite(self.r) and self.r > 0.0):
+        if not (_finite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be finite and positive, got {self.r}")
 
 
@@ -122,11 +122,11 @@ def lambda_fn(r: float, alpha: float, xi: float) -> float:
     Defined for alpha >= 1/2 and xi >= 0.  At alpha = 1/2 it is
     Psi(2 xi r)/2 - log(2)/2, the value both optimized bounds use.
     """
-    if not (math.isfinite(r) and r > 0.0):
+    if not (_finite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
-    if not (math.isfinite(alpha) and alpha >= 0.5):
+    if not (_finite(alpha) and alpha >= 0.5):
         raise ValueError(f"alpha must be >= 1/2, got {alpha}")
-    if not (math.isfinite(xi) and xi >= 0.0):
+    if not (_finite(xi) and xi >= 0.0):
         raise ValueError(f"xi must be >= 0, got {xi}")
     return (
         alpha * psi_fn(xi * r / alpha)
@@ -172,7 +172,7 @@ def delta_fn(r: float) -> float:
     most 1024: h = (1 - 1/q) Psi(r) grows once the zeta term underflows
     (q ~ 810).  Memoized per r; the value never exceeds Psi(r) (q -> inf).
     """
-    if not (math.isfinite(r) and r > 0.0):
+    if not (_finite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     return _delta_cached(float(r))
 
@@ -267,9 +267,9 @@ def lemma1_tail_bound(n: int, r: float, mu: float) -> KlTailBound:
     The tail event is D(empirical || p) >= rho_n with threshold
     rho_n = (Delta(r) + mu) / r, returned alongside the bound.
     """
-    if not (math.isfinite(r) and r > 0.0):
+    if not (_finite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
-    if not (math.isfinite(mu) and mu > 0.0):
+    if not (_finite(mu) and mu > 0.0):
         raise ValueError(f"mu must be positive, got {mu}")
     return KlTailBound(bound=math.exp(_log_prefactor(n, r) - n * mu),
                        rho_n=(delta_fn(r) + mu) / r)

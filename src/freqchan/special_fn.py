@@ -25,11 +25,19 @@ _ZETA_EM = tuple(
         start=1))))
 
 
+def _finite(x: float) -> bool:
+    """``math.isfinite(x)``, but False for an integer past the float range,
+    where ``math.isfinite`` raises OverflowError."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _checked(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
+    if not _finite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
+    return float(x)
 
 
 def log_gamma(t: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import tracemalloc
 import warnings
 
@@ -445,6 +446,15 @@ class TestErrorSimulation:
         assert wilson_std_err(50, 100) == pytest.approx(
             math.sqrt(0.25 / 100), rel=0.05)
 
+    @pytest.mark.parametrize("errors, trials", [
+        (0, 0), (5, 3), (-1, 3), (0, -2), (math.nan, 3),
+        pytest.param(1, 10**400, id="1-10**400"),
+    ])
+    def test_wilson_std_err_refuses_impossible_counts(self, errors, trials):
+        with pytest.raises(ValueError,
+                           match=f"errors = {errors}, trials = {trials}"):
+            wilson_std_err(errors, trials)
+
 
 class TestTailEstimators:
     def test_kl_tail_nonincreasing_in_mu(self):
@@ -770,7 +780,7 @@ class TestMap:
             def map(self, fn, jobs):
                 return [fn(job) for job in jobs]
 
-        monkeypatch.setattr(channel.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(channel.os, "cpu_count", lambda: 4)
         assert channel._map(abs, [-1, -2, -3, -4, -5], 16) == [1, 2, 3, 4, 5]
         assert channel._map(abs, [-1, -2, -3], 2) == [1, 2, 3]

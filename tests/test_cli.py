@@ -551,6 +551,7 @@ class TestRuntimeImports:
     """The library runs on numpy alone; scipy is a test-only reference.
 
     The bounds need no numpy at all: it loads with the Monte Carlo layer.
+    A serial simulation loads no process pool.
     """
 
     SCRIPT = """
@@ -575,7 +576,8 @@ codes.append(main(["simulate", "--n", "10", "--r", "2", "--M", "4",
 print(json.dumps({"codes": codes, "bounds_numpy": bounds_numpy,
                   "scipy": sorted(m for m in sys.modules
                                   if m.split(".")[0] == "scipy"),
-                  "numpy.random": "numpy.random" in sys.modules}))
+                  "numpy.random": "numpy.random" in sys.modules,
+                  "multiprocessing": "multiprocessing" in sys.modules}))
 """
 
     def test_commands_load_no_scipy(self, tmp_path):
@@ -588,6 +590,7 @@ print(json.dumps({"codes": codes, "bounds_numpy": bounds_numpy,
         assert seen["bounds_numpy"] == []
         assert seen["scipy"] == []
         assert seen["numpy.random"]
+        assert not seen["multiprocessing"]
 
     def test_lazy_names_are_the_channel_exports(self):
         import freqchan.channel

@@ -1,5 +1,6 @@
-"""The public bound functions over extreme floats: each call either returns
-numbers, none of them NaN, or raises ValueError, never another exception.
+"""The public bound functions over extreme floats and integers past the
+float range: each call either returns numbers, none of them NaN, or raises
+ValueError, never another exception.
 
 Every argument runs over the same grid, in every combination, so a value
 that one check lets through to an overflowing step of another is found
@@ -23,7 +24,7 @@ from freqchan.special_fn import zeta_jet
 EXTREMES = [
     0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10,
     1e-5, 0.5, 1.0, 2.0, 10.0, 1e5, 1e10, 1e20, 1e50, 1e100, 1e200, 1e300,
-    1.7e308, -1.0, math.inf, -math.inf, math.nan,
+    1.7e308, -1.0, math.inf, -math.inf, math.nan, 10**400, -10**400,
 ]
 
 
