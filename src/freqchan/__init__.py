@@ -33,7 +33,7 @@ from .rc_bounds import (
 )
 from .special_fn import log_gamma, psi_fn, zeta
 
-__version__ = "0.1.13"
+__version__ = "0.1.14"
 
 # The Monte Carlo layer needs numpy; the bounds above do not.  Its names
 # resolve on first access (PEP 562), so importing the package for the

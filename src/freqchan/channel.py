@@ -30,7 +30,7 @@ import numpy.random  # noqa: F401  at import, not lazily at the first draw
 from ._record import frozen
 from .ex_bounds import l_fn
 from .rc_bounds import BoundQuery, KlTailBound, lemma1_tail_bound, thm1_probability_bound
-from .special_fn import log_gamma
+from .special_fn import _finite, log_gamma
 
 __all__ = [
     "BcTailReport",
@@ -156,8 +156,8 @@ def _check_tail_chunk(n: int) -> None:
 
 def _reads(n: int, r: float) -> int:
     """The n * r reads of one transmission: integral, from 1 to 2**63 - 1.
-    An n past the float range gives none, rather than an OverflowError."""
-    reads = n * r if n <= sys.float_info.max else math.inf
+    An n or r past the float range gives none, rather than an OverflowError."""
+    reads = float(n) * float(r) if _finite(n) and _finite(r) else math.inf
     if not (math.isfinite(reads) and abs(reads - round(reads)) <= 1e-9
             and 1 <= round(reads) <= np.iinfo(np.int64).max):
         raise ValueError(f"n * r must be an integral read count from 1 to "
@@ -246,10 +246,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be a positive count, got {self.n}")
-        if not (math.isfinite(self.r) and self.r > 0.0):
+        if not (_finite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be positive, got {self.r}")
         _reads(self.n, self.r)
-        _check_alpha(self.alpha, self.n * float(self.alpha))
+        _check_alpha(self.alpha, self.n * float(self.alpha)
+                     if _finite(self.alpha) else math.inf)
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.seed < 0:
@@ -258,7 +259,7 @@ class SimConfig:
             raise ValueError("exactly one of M and R must be given")
         if self.M is not None and self.M < 1:
             raise ValueError(f"M must be a positive count, got {self.M}")
-        if self.R is not None and not (math.isfinite(self.R) and self.R >= 0.0):
+        if self.R is not None and not (_finite(self.R) and self.R >= 0.0):
             raise ValueError(f"R must be finite and >= 0, got {self.R}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be a positive count, "
@@ -549,7 +550,7 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
     """Empirical frequency of D(empirical || p) >= rho_n over fresh
     Dirichlet(alpha) points p, next to its analytic ceiling."""
     reads = _reads(n, r)
-    _check_alpha(alpha, n * float(alpha))
+    _check_alpha(alpha, n * float(alpha) if _finite(alpha) else math.inf)
     _check_tail_chunk(n)
     tail: KlTailBound = lemma1_tail_bound(n, r, mu)
     mean, std_err, events = _chunked(
@@ -593,10 +594,13 @@ def estimate_bc_tail(n: int, lam: float, trials: int, seed: int,
 
 
 def _moment_arrays(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(alphas, dtype=np.float64)
-    b = np.asarray(betas, dtype=np.float64)
+    a, b = np.asarray(alphas), np.asarray(betas)
     if a.ndim != 1 or a.size < 1 or a.shape != b.shape:
         raise ValueError("alphas and betas must be matching 1-D vectors")
+    # Not float64 yet: an integer past the float range raises OverflowError.
+    if not all(map(_finite, a.tolist() + b.tolist())):
+        raise ValueError("alphas and betas must be finite")
+    a, b = a.astype(np.float64), b.astype(np.float64)
     total = sum(a.tolist())  # overflows to inf without a numpy warning
     _check_alpha(float(a.min()), total)
     if np.any(b < 0.0) or not math.isfinite(total + sum(b.tolist())):

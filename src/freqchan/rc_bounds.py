@@ -16,9 +16,14 @@ A'(xi) = r log(1 + 1/(2 xi r)) - Delta.  A' vanishes at
 xi_LB = 1/(2 r (exp(Delta/r) - 1)), which gives the rate bound in closed
 form, R_LB = -log(2 (1 - exp(-Delta/r)))/2.  The exponent has Gallager's
 parametric form (Information Theory and Reliable Communication, 1968,
-ch. 5): E = A'(xi) at the one xi in (0, xi_LB) where
-A - (1 + xi) A' = R, an increasing function of xi, so each R < R_LB
-takes one Newton root solve and E = 0 from R_LB on.
+ch. 5): E = A'(xi) at the one xi in (0, xi_LB) where A - (1 + xi) A' = R.
+With t = 2 xi r, Psi(t)/2 = log(1 + t)/2 + xi r log(1 + 1/t), so the xi-terms
+cancel: R = log((1 + t)/2)/2 + Delta - r log(1 + 1/t).  In
+u = (E + Delta)/r = log(1 + 1/t), each R < R_LB solves
+R + E = (u - log(2 expm1 u))/2 (R_LB at E = 0): one Newton root on
+(0, R_LB - R) of an increasing, concave difference with slope
+1 + 1/(2 r expm1 u) = 1 + xi, from its tangent's root at 0,
+(R_LB - R)/(1 + xi_LB).  E = 0 from R_LB on.
 
 Delta's q-infimum is one Newton root too.  With s = q/2,
 c = (2 pi)^(-s) zeta(s) = sum_k (2 pi k)^(-s) and Phi = log(1 + c), the
@@ -38,10 +43,9 @@ import math
 import sys
 
 from ._record import frozen
-# perfbench/tracer.py wraps rc_bounds.maximize_scalar and zeta;
-# tests/test_bench_bindings.py keeps the unused search bound here.
+# perfbench/tracer.py wraps rc_bounds.maximize_scalar and zeta, unused here.
 from .optimize import maximize_scalar, newton_root  # noqa: F401
-from .special_fn import _finite, log_gamma, psi_fn, zeta, zeta_jet
+from .special_fn import _finite, log_gamma, psi_fn, zeta, zeta_jet  # noqa: F401
 
 __all__ = [
     "BoundQuery",
@@ -58,7 +62,6 @@ __all__ = [
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
-_LOG_GAMMA_HALF = math.lgamma(0.5)
 # Largest x with exp(x) finite: xi_LB needs exp(Delta/r).
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Delta's root bracket (2, hi]: hi doubles from q = 4 at most
@@ -136,30 +139,23 @@ def lambda_fn(r: float, alpha: float, xi: float) -> float:
     )
 
 
-def _delta_objective(q: float, r: float) -> float:
-    # log1p keeps accuracy once the zeta term decays; exp() underflows
-    # gracefully to 0 for large q.
-    correction = math.exp(-0.5 * q * _LOG_2PI) * zeta(0.5 * q)
-    return (1.0 - 1.0 / q) * psi_fn(r) + math.log1p(correction) / q
-
-
-def _delta_slope(q: float, log_psi: float) -> tuple[float, float]:
-    """(log Psi - log K, its q-derivative q Phi''/K) at q, which has the
-    sign of h'(q) and increases in q."""
+def _delta_slope(q: float, log_psi: float) -> tuple[float, float, float]:
+    """(log Psi - log K, its q-derivative q Phi''/K, c) at q; the first
+    has the sign of h'(q) and increases in q."""
     s = 0.5 * q
     z, dz, d2z = zeta_jet(s)
     c = math.exp(-s * _LOG_2PI) * z
     if c == 0.0:
         # c has underflowed, so K = 0 < Psi; the NaN slope makes
         # newton_root bisect.
-        return math.inf, math.nan
+        return math.inf, math.nan, 0.0
     # Phi_s = w u and Phi_ss = w (v + (1 - w) u^2), with w = c/(1 + c),
     # u = (log c)_s and v = (log zeta)_ss.
     dlog = dz / z
     w, u = c / (1.0 + c), dlog - _LOG_2PI
     k = math.log1p(c) - s * w * u
     bend = 0.5 * s * w * (d2z / z - dlog * dlog + (1.0 - w) * u * u)
-    return log_psi - math.log(k), bend / k
+    return log_psi - math.log(k), bend / k, c
 
 
 def delta_fn(r: float) -> float:
@@ -168,8 +164,8 @@ def delta_fn(r: float) -> float:
     The objective h has one stationary point (see the module notes), in
     (2, q0] if q0 < 4 and h'(q0) >= 0 (r in ~[0.54, 2e141]), else in
     (hi/2, hi] or (2, 4] at the first hi = 4, 8, ... with h'(hi) >= 0.
-    One ``newton_root`` from hi finds it; h there is the value.  hi is at
-    most 1024: h = (1 - 1/q) Psi(r) grows once the zeta term underflows
+    One ``newton_root`` from hi finds it; h is read at its last q.  hi is
+    at most 1024: h = (1 - 1/q) Psi(r) grows once the zeta term underflows
     (q ~ 810).  Memoized per r; the value never exceeds Psi(r) (q -> inf).
     """
     if not (_finite(r) and r > 0.0):
@@ -181,22 +177,21 @@ def delta_fn(r: float) -> float:
 def _delta_cached(r: float) -> float:
     psi = psi_fn(r)
     log_psi = math.log(psi)
-    # The bracket's end is Newton's start, so its jet is computed once.
-    slope = functools.lru_cache(maxsize=1)(
-        lambda q: _delta_slope(q, log_psi))
+    jets = {}  # q -> _delta_slope(q); the q asked for last is the last key
+
+    def slope(q: float) -> tuple[float, float]:
+        jets[q] = jets.pop(q, None) or _delta_slope(q, log_psi)
+        return jets[q][:2]
+
     q0 = 2.0 + 2.0 / psi  # the pole asymptote's root (module notes)
     lo, hi = 2.0, (q0 if q0 < 4.0 and slope(q0)[0] >= 0.0 else 4.0)
     for _ in range(_DELTA_DOUBLINGS + 1):
         if slope(hi)[0] >= 0.0:
-            return _delta_objective(newton_root(slope, lo, hi, hi), r)
+            newton_root(slope, lo, hi, hi)  # from hi, whose jet is kept
+            q, (_, _, c) = jets.popitem()  # the last q Newton evaluated
+            return (1.0 - 1.0 / q) * psi + math.log1p(c) / q
         lo, hi = hi, 2.0 * hi
     raise ArithmeticError(f"no bracket for Delta's q-infimum at r = {r}")
-
-
-def _a_half(xi: float, r: float, delta: float) -> float:
-    """lambda_fn(r, 1/2, xi) - xi Delta, unchecked, bit for bit."""
-    return 0.5 * psi_fn(xi * r / 0.5) - _HALF_LOG_2PI + _LOG_GAMMA_HALF \
-        - xi * delta
 
 
 def _r_lb(r: float, delta: float) -> float:
@@ -210,25 +205,26 @@ def rc_exponent(query: BoundQuery) -> ExponentPoint:
     The inner supremum over mu > 0 of min([A - xi mu]_+, mu) with
     A = Lambda - xi Delta - R equals [A]_+ / (1 + xi) exactly (the two
     branches cross at mu = A / (1 + xi), which is E itself), so only
-    alpha = 1/2 and xi make up the witness.  Below R_LB, xi is the root
-    of A - (1 + xi) A' = R; from R_LB on, E = 0 and xi = xi_LB.  An r
-    below ~6.03e-309, where exp(Delta/r) overflows, is refused.
+    alpha = 1/2 and xi make up the witness.  Below R_LB, E solves the module
+    notes' equation in E; from R_LB on, E = 0 and xi = xi_LB.  An r below
+    ~6.03e-309, where exp(Delta/r) overflows, is refused.
     """
     r, rate = float(query.r), query.R
     delta = delta_fn(r)
     if delta / r > _LOG_FLOAT_MAX:
         raise ValueError(f"r = {r} is too small: exp(Delta(r) / r) overflows")
     xi_lb = 0.5 / (r * math.expm1(delta / r))  # A'(xi_LB) = 0
-    if rate >= _r_lb(r, delta):
+    r_lb = _r_lb(r, delta)
+    if rate >= r_lb:
         return ExponentPoint(R=rate, E=0.0, argmax=RcParams(0.5, xi_lb))
 
-    def phi(xi: float) -> tuple[float, float]:
-        slope = r * math.log1p(0.5 / (xi * r)) - delta
-        return (_a_half(xi, r, delta) - (1.0 + xi) * slope - rate,
-                (1.0 + xi) * r / (xi * (1.0 + 2.0 * xi * r)))
+    def phi(e: float) -> tuple[float, float]:
+        u = (e + delta) / r
+        m = math.expm1(u)
+        return e + rate - 0.5 * (u - math.log(2.0 * m)), 1.0 + 0.5 / (r * m)
 
-    xi = newton_root(phi, 0.0, xi_lb, xi_lb)
-    e = max(_a_half(xi, r, delta) - rate, 0.0) / (1.0 + xi)
+    e = newton_root(phi, 0.0, r_lb - rate, (r_lb - rate) / (1.0 + xi_lb))
+    xi = 0.5 / (r * math.expm1((e + delta) / r))
     return ExponentPoint(R=rate, E=e, argmax=RcParams(0.5, xi))
 
 

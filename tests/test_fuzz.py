@@ -1,6 +1,6 @@
-"""The public bound functions over extreme floats and integers past the
-float range: each call either returns numbers, none of them NaN, or raises
-ValueError, never another exception.
+"""The public bound functions and the channel's entry points over extreme
+floats and integers past the float range: each call either returns
+numbers, none of them NaN, or raises ValueError, never another exception.
 
 Every argument runs over the same grid, in every combination, so a value
 that one check lets through to an overflowing step of another is found
@@ -52,7 +52,22 @@ FUNCTIONS = {
     "zeta": (freqchan.zeta, 1),
     "zeta_jet": (zeta_jet, 1),
     "psi_fn": (freqchan.psi_fn, 1),
+    # The channel's entry points, each with small fixed sizes so that an
+    # accepted call runs one short chunk.
+    "SimConfig": (lambda r, alpha, R: _config_numbers(freqchan.SimConfig(
+        4, r, alpha, trials=1, seed=0, R=R)), 3),
+    "estimate_kl_tail": (lambda r, alpha, mu: freqchan.estimate_kl_tail(
+        4, r, alpha, mu, trials=2, seed=0), 3),
+    "dirichlet_product_moment": (lambda a, b: freqchan.dirichlet_product_moment(
+        [a, 1.0], [b, 0.5]), 2),
+    "estimate_product_moment": (lambda a, b: freqchan.estimate_product_moment(
+        [a, 1.0], [b, 0.5], trials=2, seed=0), 2),
 }
+
+
+def _config_numbers(config):
+    """The counts and rate a SimConfig derives from its fields."""
+    return config.reads, config.resolved_m, config.resolved_rate
 
 
 def _numbers(value):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
@@ -144,26 +145,27 @@ class TestDeltaFn:
 
     @pytest.mark.parametrize("r", [0.01, 1.0, 400.0, 1e5, 1e8])
     def test_one_bracketed_search(self, r, monkeypatch):
-        # One bracketed Newton root per r, and h evaluated once, at the
-        # root.
-        objective, calls, searches = rc_bounds._delta_objective, [], []
-
-        def counted_objective(q, r):
-            calls.append(q)
-            return objective(q, r)
+        # One bracketed Newton root per r, exactly one psi_fn call (Psi(r))
+        # and no zeta call: h is read off the last jet Newton evaluated.
+        searches, psi_calls, zeta_calls = [], [], []
 
         def counted_root(*args):
             searches.append(args)
             return newton_root(*args)
 
-        monkeypatch.setattr(rc_bounds, "_delta_objective", counted_objective)
+        def counted_psi(t):
+            psi_calls.append(t)
+            return psi_fn(t)
+
         monkeypatch.setattr(rc_bounds, "newton_root", counted_root)
+        monkeypatch.setattr(rc_bounds, "psi_fn", counted_psi)
+        monkeypatch.setattr(rc_bounds, "zeta", zeta_calls.append)
         rc_bounds._delta_cached.cache_clear()
         delta_fn(r)
         assert len(searches) == 1
         _, lo, hi, start = searches[0]
         assert 2.0 <= lo < hi and start == hi
-        assert len(calls) == 1 and lo < calls[0] <= hi
+        assert psi_calls == [r] and zeta_calls == []
 
     @pytest.mark.parametrize("lo, hi, most", [(-10.0, 10.0, 12),
                                               (-200.0, 300.0, 30)],
@@ -272,15 +274,57 @@ class TestRcExponent:
             assert pt.argmax.alpha == 0.5
 
     @pytest.mark.parametrize("r", [0.5, 4.0, 400.0, 1e5, 1e10])
-    def test_closed_form_a_keeps_lambda_bits(self, r):
-        # rc_exponent's A(xi) skips lambda_fn's checks but not its order
-        # of operations: -log(2 pi)/2 + log Gamma(1/2) is not -log(2)/2
-        # in floating point.
-        delta = delta_fn(r)
-        for xi in np.logspace(-10.0, 2.0, 500):
-            xi = float(xi)
-            want = lambda_fn(r, 0.5, xi) - xi * delta
-            assert rc_bounds._a_half(xi, r, delta) == want, xi
+    def test_matches_a_50_digit_parametric_solve(self, r):
+        # The Lambda-based parametric form A - (1 + xi) A' = R, with
+        # Lambda at alpha = 1/2 as lambda_fn writes it and A' by numerical
+        # differentiation, solved in xi at 50 digits for the same Delta.
+        with mp.workdps(50):
+            delta, r_mp = mp.mpf(delta_fn(r)), mp.mpf(r)
+
+            def a_fn(xi):
+                t = 2 * xi * r_mp
+                return ((1 + t) * mp.log1p(t) - t * mp.log(t)) / 2 \
+                    - mp.log(2 * mp.pi) / 2 + mp.loggamma(0.5) - xi * delta
+
+            xi_lb = 1 / (2 * r_mp * mp.expm1(delta / r_mp))
+            r_lb = a_fn(xi_lb)
+            for frac in (0.0, 0.25, 0.5, 0.75, 0.9):
+                rate = frac * max(float(r_lb), 0.0)
+                got = rc_exponent(BoundQuery(R=rate, r=r)).E
+                if rate >= r_lb:
+                    assert got == 0.0
+                    continue
+                xi = mp.findroot(
+                    lambda x: a_fn(x) - (1 + x) * mp.diff(a_fn, x) - rate,
+                    (xi_lb * mp.mpf("1e-30"), xi_lb), solver="anderson")
+                want = (a_fn(xi) - rate) / (1 + xi)
+                assert abs(got - want) <= 3e-14 * want, (rate, got, want)
+
+    def test_evaluations_per_rate(self, monkeypatch):
+        # On the benchmark's rc-curve grid each rate below R_LB is one
+        # Newton root of R + E = (u - log(2 expm1 u))/2 with at most 3
+        # evaluations, and touches neither psi_fn nor lambda_fn.
+        delta_fn(400.0)  # Delta's own psi_fn call is not counted here
+        solves, others = [], []
+
+        def counted_root(phi, lo, hi, start):
+            evals = []
+            solves.append(evals)
+            return newton_root(lambda e: evals.append(e) or phi(e),
+                               lo, hi, start)
+
+        monkeypatch.setattr(rc_bounds, "newton_root", counted_root)
+        for name in ("psi_fn", "lambda_fn"):
+            fn = getattr(rc_bounds, name)
+            monkeypatch.setattr(rc_bounds, name, lambda *args, name=name,
+                                fn=fn: others.append(name) or fn(*args))
+        r_lb = rate_lower_bound(400.0)
+        for rate in np.linspace(0.0, 1.9, 39):
+            solves.clear()
+            pt = rc_exponent(BoundQuery(R=float(rate), r=400.0))
+            assert rate < r_lb and pt.E > 0.0
+            assert len(solves) == 1 and 0 < len(solves[0]) <= 3, rate
+        assert others == []
 
     def test_one_root_solve_below_the_rate_bound(self, monkeypatch):
         delta_fn(400.0)  # Delta's own root solve is not counted here
