@@ -629,7 +629,12 @@ def _moment_chunk(rng: np.random.Generator, size: int, a: np.ndarray,
     # sum b_j log X_j = sum b_j log G_j - (sum b) log sum G_j cannot underflow.
     logs = np.stack([_log_gamma_draws(rng, aj, size) for aj in a])
     logs -= logs.max(axis=0)
-    prods = np.exp(b @ logs - b.sum() * np.log(np.exp(logs).sum(axis=0)))
+    # After the shift logs <= 0 and b >= 0, so b @ logs can overflow only
+    # to -inf, where exp gives the right 0; each draw's sum over j is at
+    # least 1, so the other term stays finite.
+    with np.errstate(over="ignore"):
+        weighted = b @ logs
+    prods = np.exp(weighted - b.sum() * np.log(np.exp(logs).sum(axis=0)))
     return (float(prods.sum()), float((prods * prods).sum()),
             int(np.count_nonzero(prods)))
 

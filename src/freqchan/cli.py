@@ -2,9 +2,11 @@
 
 Four subcommands: ``exponents`` and ``rates`` sweep the analytic
 curves into CSV files, ``simulate`` runs the Monte Carlo channel, and
-``verify`` executes the built-in self-check suites.  Every file output
-gets a flat key=value manifest beside it from which the exact command
-can be replayed byte-for-byte.
+``verify`` executes the built-in self-check suites.  ``--gnuplot`` adds
+one curve as two columns (``exponents`` needs ``--which rc|ex``).  Each
+CSV gets a key=value manifest (``command``, ``tool_version``, ``seed``,
+``wall_time_s``, optional ``note``, sorted ``param.<option>`` lines) that
+``replay_manifest`` replays byte for byte within one ``tool_version``.
 
 The CLI checks only what is its own (the shape and size of a range, and
 which curve ``--gnuplot`` takes).  The library raises ``ValueError``
@@ -23,12 +25,11 @@ import sys
 import time
 
 from . import __version__
-from ._record import frozen
 from .baselines import FirQuery, converse_rate, fir_rate
 from .ex_bounds import ExSettings, ex_exponent
 from .rc_bounds import BoundQuery, rc_exponent, rate_lower_bound
 
-__all__ = ["RunManifest", "main", "console",
+__all__ = ["main", "console",
            "cmd_exponents", "cmd_rates", "cmd_simulate", "cmd_verify"]
 
 _SEED_ENV = "FREQCHAN_SEED"
@@ -49,74 +50,6 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise UsageError(message)
-
-
-@frozen
-class RunManifest:
-    """Everything needed to reproduce one output file.
-
-    ``parameters`` maps CLI option names (without dashes) to their
-    string values (a fresh empty dict when omitted); replaying the
-    reconstructed argv writes the same bytes again.  ``wall_time_s`` is
-    informational and excluded from replay.
-    """
-
-    command: str
-    parameters: dict[str, str] | None = None
-    seed: int | None = None
-    tool_version: str = __version__
-    wall_time_s: float = 0.0
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if self.parameters is None:
-            object.__setattr__(self, "parameters", {})
-
-    def write(self, path: str) -> None:
-        lines = [
-            f"command={self.command}",
-            f"tool_version={self.tool_version}",
-            f"seed={'' if self.seed is None else self.seed}",
-            f"wall_time_s={self.wall_time_s:.6f}",
-        ]
-        if self.note:
-            lines.append(f"note={self.note}")
-        for key in sorted(self.parameters):
-            lines.append(f"param.{key}={self.parameters[key]}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def read(cls, path: str) -> "RunManifest":
-        fields: dict[str, str] = {}
-        params: dict[str, str] = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                key, _, value = line.partition("=")
-                if key.startswith("param."):
-                    params[key[len("param."):]] = value
-                else:
-                    fields[key] = value
-        seed = int(fields["seed"]) if fields.get("seed") else None
-        return cls(command=fields["command"], parameters=params, seed=seed,
-                   tool_version=fields.get("tool_version", ""),
-                   wall_time_s=float(fields.get("wall_time_s", "0") or 0.0),
-                   note=fields.get("note", ""))
-
-    def replay_argv(self) -> list[str]:
-        argv = [self.command]
-        for key in sorted(self.parameters):
-            value = self.parameters[key]
-            if value == "true":
-                argv.append(f"--{key}")
-            elif value == "false":
-                continue
-            else:
-                argv.extend([f"--{key}", value])
-        return argv
 
 
 def _fmt(x: float) -> str:
@@ -158,27 +91,31 @@ def _default_seed() -> int:
 
 
 def _write_outputs(args: argparse.Namespace, started: float, rows: list[str],
-                   plot_rows=(), note: str = "") -> None:
-    """Write ``--out``, the ``--gnuplot`` file if asked for, and the
-    manifest, whose ``param.*`` lines are the parsed options themselves."""
-    for path, lines in ((args.out, rows),
-                        (getattr(args, "gnuplot", None), plot_rows)):
-        if path:
-            with open(path, "w", newline="") as fh:
-                fh.write("\n".join(lines) + "\n")
-    params = {}
-    for dest, value in vars(args).items():
-        if dest in ("command", "func") or value is None:
-            continue
+                   column: int = 1, note: str = "") -> None:
+    """Write ``--out``, the ``--gnuplot`` file if asked for (each data row's
+    first cell against cell ``column``) and the manifest of ``args``."""
+    seed = getattr(args, "seed", None)
+    manifest = [f"command={args.command}", f"tool_version={__version__}",
+                f"seed={'' if seed is None else seed}",
+                f"wall_time_s={time.monotonic() - started:.6f}"]
+    if note:
+        manifest.append(f"note={note}")
+    params = {dest.replace("_", "-"): value
+              for dest, value in vars(args).items()
+              if dest not in ("command", "func") and value is not None}
+    for key in sorted(params):
+        value = params[key]
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):
             value = _fmt(value)
-        params[dest.replace("_", "-")] = str(value)
-    RunManifest(command=args.command, parameters=params,
-                seed=getattr(args, "seed", None),
-                wall_time_s=time.monotonic() - started,
-                note=note).write(args.out + ".manifest")
+        manifest.append(f"param.{key}={value}")
+    plot = [f"{c[0]} {c[column]}" for c in (row.split(",") for row in rows[1:])]
+    for path, lines in ((args.out, rows), (getattr(args, "gnuplot", None), plot),
+                        (args.out + ".manifest", manifest)):
+        if path:
+            with open(path, "w", newline="") as fh:
+                fh.write("\n".join(lines) + "\n")
 
 
 def cmd_exponents(args: argparse.Namespace) -> int:
@@ -189,7 +126,6 @@ def cmd_exponents(args: argparse.Namespace) -> int:
     ex_settings = ExSettings(rho_max=args.rho_max)
 
     lines = [_CSV_HEADER]
-    gnuplot_lines = []
     for rate in rates:
         cells = [_fmt(rate), "", "", "", "", "", ""]
         if args.which in ("rc", "both"):
@@ -197,18 +133,14 @@ def cmd_exponents(args: argparse.Namespace) -> int:
             cells[1] = _fmt(pt.E)
             cells[3] = _fmt(pt.argmax.alpha)
             cells[4] = _fmt(pt.argmax.xi)
-            if args.which == "rc":
-                gnuplot_lines.append(f"{_fmt(rate)} {_fmt(pt.E)}")
         if args.which in ("ex", "both"):
             ept = ex_exponent(BoundQuery(R=rate, r=args.r), ex_settings)
             cells[2] = _fmt(ept.E)
             cells[5] = _fmt(ept.argmax.rho)
             cells[6] = "1" if ept.rho_capped else "0"
-            if args.which == "ex":
-                gnuplot_lines.append(f"{_fmt(rate)} {_fmt(ept.E)}")
         lines.append(",".join(cells))
 
-    _write_outputs(args, started, lines, gnuplot_lines)
+    _write_outputs(args, started, lines, 2 if args.which == "ex" else 1)
     print(f"wrote {len(rates)} rows to {args.out}")
     return EXIT_OK
 
@@ -220,13 +152,11 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
     header = ["r", "R_LB", "converse"] + [f"fir_g{g:g}" for g in budgets]
     lines = [",".join(header)]
-    gnuplot_lines = []
     for r in r_values:
         row = [_fmt(r), _fmt(rate_lower_bound(r)),
                _fmt(converse_rate(r))]
         row += [_fmt(fir_rate(FirQuery(g=g, r=r))) for g in budgets]
         lines.append(",".join(row))
-        gnuplot_lines.append(f"{row[0]} {row[1]}")
 
     # The finite-budget columns extrapolate away from their derivation's
     # regime (per-type budget tracking the sampling ratio); the caveat
@@ -235,7 +165,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     if budgets:
         note = ("fir columns assume the per-type budget tracks r; "
                 "values far from the peak are extrapolations")
-    _write_outputs(args, started, lines, gnuplot_lines, note=note)
+    _write_outputs(args, started, lines, note=note)
     print(f"wrote {len(r_values)} rows to {args.out}")
     return EXIT_OK
 
@@ -338,8 +268,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def replay_manifest(path: str) -> int:
-    """Re-run the command recorded in a manifest file."""
-    return main(RunManifest.read(path).replay_argv())
+    """Run ``command`` with each ``param.<option>`` line, in file order, as
+    ``--option value`` (``true`` a bare flag, ``false`` nothing); a manifest
+    of another ``tool_version`` still runs, with a warning on stderr."""
+    header, argv = {}, []
+    with open(path) as fh:
+        for line in fh:
+            key, eq, value = line.rstrip("\n").partition("=")
+            if not eq:
+                continue
+            if not key.startswith("param."):
+                header[key] = value
+            elif value != "false":
+                argv.append("--" + key[len("param."):])
+                if value != "true":
+                    argv.append(value)
+    version = header.get("tool_version")
+    if version != __version__:
+        print(f"replay: manifest tool_version {version} is not {__version__}; "
+              "outputs may differ", file=sys.stderr)
+    return main([header.get("command", "")] + argv)
 
 
 def main(argv: list[str] | None = None) -> int:

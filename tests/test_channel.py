@@ -757,6 +757,11 @@ class TestTinyAlpha:
             rep = estimate_product_moment([0.002, 0.002, 1.0],
                                           [0.5, 0.0, 1.0],
                                           trials=4096, seed=1)
+            # sum b_j log G_j overflows to -inf: a quiet 0, as is the
+            # closed form to double precision.
+            tiny = estimate_product_moment([1e-300, 1.0], [1e10, 0.5],
+                                           trials=2, seed=0)
+        assert tiny.mc_estimate == 0.0 and tiny.closed_form < 1e-300
         assert math.isfinite(rep.mc_estimate)
         assert abs(rep.mc_estimate - rep.closed_form) \
             <= 4.0 * rep.mc_std_err

@@ -11,15 +11,28 @@ import pytest
 
 import freqchan
 import freqchan.verify
+from freqchan import cli
 from freqchan.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED,
-                          RunManifest, UsageError, build_parser, main,
-                          parse_range, replay_manifest)
+                          UsageError, build_parser, main, parse_range,
+                          replay_manifest)
 from freqchan.rc_bounds import delta_fn
 
 
 def _read(path):
     with open(path, newline="") as fh:
         return fh.read()
+
+
+def _manifest(path):
+    """A manifest's header fields and its ``param.*`` options, as dicts."""
+    header, params = {}, {}
+    for line in _read(path).split("\n")[:-1]:
+        key, _, value = line.partition("=")
+        if key.startswith("param."):
+            params[key[len("param."):]] = value
+        else:
+            header[key] = value
+    return header, params
 
 
 def _child_env():
@@ -229,8 +242,12 @@ class TestRatesCommand:
     def test_caveat_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "rates.csv"
         main(["rates", "--r", "10:20:10", "--g", "50", "--out", str(out)])
-        manifest = RunManifest.read(str(out) + ".manifest")
-        assert "extrapolation" in manifest.note
+        keys = [ln.partition("=")[0]
+                for ln in _read(str(out) + ".manifest").split("\n")]
+        assert keys.index("note") == keys.index("wall_time_s") + 1
+        assert "extrapolation" in _manifest(str(out) + ".manifest")[0]["note"]
+        main(["rates", "--r", "10:20:10", "--out", str(out)])
+        assert "note" not in _manifest(str(out) + ".manifest")[0]
 
 
 class TestSimulateCommand:
@@ -335,15 +352,19 @@ class TestSimulateCommand:
 
 class TestManifests:
     def test_round_trip(self, tmp_path):
-        manifest = RunManifest(command="simulate",
-                               parameters={"n": "10", "out": "x.csv"},
-                               seed=7, wall_time_s=1.25, note="hello")
-        path = tmp_path / "m.manifest"
-        manifest.write(str(path))
-        back = RunManifest.read(str(path))
-        assert back.command == "simulate"
-        assert back.parameters == {"n": "10", "out": "x.csv"}
-        assert back.seed == 7 and back.note == "hello"
+        out = tmp_path / "sim.csv"
+        main(["simulate", "--n", "10", "--r", "2", "--M", "8", "--trials",
+              "50", "--seed", "7", "--parallelism", "1", "--out", str(out)])
+        lines = _read(str(out) + ".manifest").split("\n")
+        assert lines[-1] == ""
+        keys = [ln.partition("=")[0] for ln in lines[:-1]]
+        assert keys[:4] == ["command", "tool_version", "seed", "wall_time_s"]
+        assert keys[4:] == sorted(keys[4:])
+        assert all(key.startswith("param.") for key in keys[4:])
+        header, params = _manifest(str(out) + ".manifest")
+        assert header["command"] == "simulate" and header["seed"] == "7"
+        assert float(header["wall_time_s"]) >= 0.0
+        assert params["n"] == "10" and params["out"] == str(out)
 
     def test_replay_reproduces_bytes(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -354,18 +375,23 @@ class TestManifests:
         assert replay_manifest(str(out) + ".manifest") == EXIT_OK
         assert _read(out) == body
 
-    def test_flag_parameters_replay(self, tmp_path):
+    def test_flag_parameters_replay(self, tmp_path, monkeypatch):
+        replayed = []
+        real_main = cli.main
+        monkeypatch.setattr(cli, "main", lambda argv: (
+            replayed.append(argv), real_main(argv))[1])
         out = tmp_path / "fixed.csv"
-        main(["simulate", "--n", "6", "--r", "2", "--M", "4", "--trials",
-              "100", "--seed", "1", "--fixed-codebook", "--out", str(out)])
-        manifest = RunManifest.read(str(out) + ".manifest")
-        assert manifest.parameters["fixed-codebook"] == "true"
-        argv = manifest.replay_argv()
-        assert "--fixed-codebook" in argv
-        body = _read(out)
-        out.unlink()
-        assert main(argv) == EXIT_OK
-        assert _read(out) == body
+        for flag, value in (["--fixed-codebook"], "true"), ([], "false"):
+            main(["simulate", "--n", "6", "--r", "2", "--M", "4", "--trials",
+                  "100", "--seed", "1", "--out", str(out)] + flag)
+            params = _manifest(str(out) + ".manifest")[1]
+            assert params["fixed-codebook"] == value
+            body = _read(out)
+            out.unlink()
+            assert replay_manifest(str(out) + ".manifest") == EXIT_OK
+            assert _read(out) == body
+            assert ("--fixed-codebook" in replayed[-1]) == bool(flag)
+            assert "true" not in replayed[-1] and "false" not in replayed[-1]
 
     @staticmethod
     def _options(command):
@@ -391,20 +417,21 @@ class TestManifests:
         options = self._options(argv[0])
         expected = {options[dest] for dest in options
                     if parsed[dest] is not None}
-        manifest = RunManifest.read(str(tmp_path / "out.csv.manifest"))
-        assert set(manifest.parameters) == expected
-        assert manifest.seed == (4 if argv[0] == "simulate" else None)
+        manifest = str(tmp_path / "out.csv.manifest")
+        header, params = _manifest(manifest)
+        assert set(params) == expected
+        assert header["seed"] == ("4" if argv[0] == "simulate" else "")
         if argv[0] == "exponents":  # ExSettings.rho_max, criterion 02's cap
-            assert manifest.parameters["rho-max"] == "1000"
+            assert params["rho-max"] == "1000"
         outputs = sorted(p for p in tmp_path.iterdir()
                          if p.suffix in (".csv", ".dat"))
         bodies = [_read(p) for p in outputs]
         for p in outputs:
             p.unlink()
-        assert main(manifest.replay_argv()) == EXIT_OK
+        assert replay_manifest(manifest) == EXIT_OK
         assert [_read(p) for p in outputs] == bodies
 
-    def test_tool_version_matches_pyproject(self):
+    def test_tool_version_matches_pyproject(self, tmp_path):
         # Manifests replay byte for byte only within one tool_version, so
         # the package and its metadata must name the same one.
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -412,7 +439,58 @@ class TestManifests:
                             pyproject.read_text(), re.M | re.S).group(1)
         version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M)
         assert version.group(1) == freqchan.__version__
-        assert RunManifest(command="rates").tool_version == freqchan.__version__
+        out = str(tmp_path / "rates.csv")
+        main(["rates", "--r", "1:2:1", "--out", out])
+        header = _manifest(out + ".manifest")[0]
+        assert header["tool_version"] == freqchan.__version__
+
+    @staticmethod
+    def _edited_replay(tmp_path, capsys, edit):
+        """Run ``rates``, rewrite its manifest's lines with ``edit``, delete
+        the CSV and replay; returns the exit code, whether the CSV came
+        back with the same bytes, and stderr."""
+        out = tmp_path / "rates.csv"
+        main(["rates", "--r", "1:3:1", "--g", "200", "--gnuplot",
+              str(tmp_path / "rates.dat"), "--out", str(out)])
+        body = _read(out)
+        manifest = Path(str(out) + ".manifest")
+        manifest.write_text("\n".join(edit(_read(manifest).split("\n"))))
+        out.unlink()
+        capsys.readouterr()
+        code = replay_manifest(str(manifest))
+        same = out.exists() and _read(out) == body
+        return code, same, capsys.readouterr().err
+
+    def test_blank_and_bare_lines_are_skipped(self, tmp_path, capsys):
+        def edit(lines):
+            return ["", "bare line"] + lines[:2] + ["", "param.bogus"] \
+                + lines[2:]
+        assert self._edited_replay(tmp_path, capsys, edit) == (EXIT_OK, True,
+                                                                "")
+
+    def test_unsorted_params_replay_the_same_bytes(self, tmp_path, capsys):
+        def edit(lines):
+            params = [ln for ln in lines if ln.startswith("param.")]
+            assert params == sorted(params)
+            return [ln for ln in lines if ln not in params] + params[::-1]
+        assert self._edited_replay(tmp_path, capsys, edit) == (EXIT_OK, True,
+                                                                "")
+
+    def test_manifest_without_command_is_usage_error(self, tmp_path, capsys):
+        def edit(lines):
+            return [ln for ln in lines if not ln.startswith("command=")]
+        code, same, err = self._edited_replay(tmp_path, capsys, edit)
+        assert code == EXIT_USAGE and not same
+        assert err.startswith("usage error: ")
+
+    def test_other_tool_version_is_named_on_stderr(self, tmp_path, capsys):
+        def edit(lines):
+            return [("tool_version=0.0.1" if ln.startswith("tool_version=")
+                     else ln) for ln in lines]
+        code, same, err = self._edited_replay(tmp_path, capsys, edit)
+        assert code == EXIT_OK and same
+        assert len(err.splitlines()) == 1
+        assert "0.0.1" in err and freqchan.__version__ in err
 
 
 class TestVerifyCommand:

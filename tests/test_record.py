@@ -1,6 +1,7 @@
 """The frozen-record semantics every value class of the package relies on."""
 
 import inspect
+import math
 import pickle
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from freqchan._record import FrozenInstanceError, frozen
 from freqchan.baselines import FirQuery
 from freqchan.channel import (BcTailReport, Codebook, MomentReport,
-                              SampleCounts, SimConfig, SimReport, TailReport)
-from freqchan.cli import RunManifest
+                              SampleCounts, SimConfig, SimReport, TailReport,
+                              estimate_bc_tail, estimate_product_moment)
 from freqchan.ex_bounds import ExExponentPoint, ExParams, ExSettings
 from freqchan.rc_bounds import BoundQuery, ExponentPoint, KlTailBound, RcParams
+from freqchan.verify import run_suites
 
 
 @frozen
@@ -48,10 +50,6 @@ RECORDS = [
                     "std_err": 0.0}, {}),
     (MomentReport, {"closed_form": 0.1, "mc_estimate": 0.11,
                     "mc_std_err": 0.01}, {}),
-    (RunManifest, {"command": "rates", "parameters": {"r": "4:4:1"},
-                   "seed": 7, "tool_version": "0.0.1", "wall_time_s": 1.5,
-                   "note": "x"},
-     {"parameters": {}, "seed": None, "wall_time_s": 0.0, "note": ""}),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -138,13 +136,6 @@ def test_records_of_another_class_or_value_differ():
     assert len({BoundQuery(0.5, 400.0), BoundQuery(R=0.5, r=400.0)}) == 1
 
 
-def test_manifests_do_not_share_a_parameters_dict():
-    a, b = RunManifest("rates"), RunManifest("rates")
-    a.parameters["r"] = "4"
-    assert b.parameters == {}
-    assert RunManifest("rates", parameters=None).parameters == {}
-
-
 def test_post_init_normalises_a_field():
     book = Codebook([[0.5, 0.5]])
     assert isinstance(book.codewords, np.ndarray)
@@ -173,6 +164,26 @@ def test_post_init_normalises_a_field():
      "counts must sum to the number of trials"),
     (SimConfig, {"n": 4, "r": 2.0, "alpha": 1.0, "trials": 10, "seed": 1},
      "exactly one of M and R must be given"),
+    (Codebook, {"codewords": [0.5, 0.5]},
+     r"codewords must be a nonempty \(M, n\) matrix"),
+    (Codebook, {"codewords": [[-0.5, 1.5]]},
+     "codewords must be finite and nonnegative"),
+    (Codebook, {"codewords": [[math.nan, 1.0]]},
+     "codewords must be finite and nonnegative"),
+    (SampleCounts, {"counts": [[1, 2]], "trials": 3},
+     "counts must be a nonempty 1-D vector"),
+    (SampleCounts, {"counts": [-1, 4], "trials": 3},
+     "counts must be nonnegative"),
+    (ExExponentPoint, {"R": 0.01, "E": -1.0,
+                       "argmax": ExParams(0.3, 0.4, 0.5, 2.0),
+                       "rho_capped": False}, "exponent must be nonnegative"),
+    # The functions that check their inputs without a record.
+    (estimate_bc_tail, {"n": 0, "lam": 0.9, "trials": 10, "seed": 1},
+     "n must be a positive count, got 0"),
+    (estimate_product_moment, {"alphas": [0.5, 0.5], "betas": [1.0],
+                               "trials": 10, "seed": 0},
+     "alphas and betas must be matching 1-D vectors"),
+    (run_suites, {"suite": "bogus"}, "unknown suite 'bogus'"),
 ])
 def test_value_checks_are_unchanged(cls, kwargs, message):
     with pytest.raises(ValueError, match=message):
