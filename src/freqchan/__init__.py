@@ -36,8 +36,8 @@ from .special_fn import log_gamma, psi_fn, zeta
 __version__ = "0.1.14"
 
 # The Monte Carlo layer needs numpy; the bounds above do not.  Its names
-# resolve on first access (PEP 562), so importing the package for the
-# bounds alone never loads numpy.
+# (``channel.__all__`` is this tuple) resolve on first access (PEP 562),
+# so importing the package for the bounds alone never loads numpy.
 _CHANNEL_NAMES = (
     "BcTailReport", "Codebook", "DecodeError", "MomentReport", "SampleCounts",
     "SimConfig", "SimReport", "TailReport", "dirichlet_product_moment",

@@ -27,29 +27,12 @@ import sys
 import numpy as np
 import numpy.random  # noqa: F401  at import, not lazily at the first draw
 
+# Listed in the package, which loads this module on their first access.
+from . import _CHANNEL_NAMES as __all__
 from ._record import frozen
 from .ex_bounds import l_fn
 from .rc_bounds import BoundQuery, KlTailBound, lemma1_tail_bound, thm1_probability_bound
 from .special_fn import _finite, log_gamma
-
-__all__ = [
-    "BcTailReport",
-    "Codebook",
-    "DecodeError",
-    "MomentReport",
-    "SampleCounts",
-    "SimConfig",
-    "SimReport",
-    "TailReport",
-    "dirichlet_product_moment",
-    "estimate_bc_tail",
-    "estimate_error_probability",
-    "estimate_kl_tail",
-    "estimate_product_moment",
-    "kl_divergence",
-    "ml_decode",
-    "wilson_std_err",
-]
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SIMPLEX_ATOL = 1e-12

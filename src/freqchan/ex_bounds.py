@@ -9,8 +9,9 @@ crossing G(lam sigma) = J(sigma) at the root sigma < 1 of J(sigma) = G
 lam = x / sigma, where L(lam) = G; and the S crossing at
 rho = r log(1 / lam) / G, where S(r, rho) = G.  x, G and lam increase in
 kappa and rho decreases, so ``g_fn``, ``l_fn`` and ``s_fn`` each invert
-one of them by safeguarded Newton steps; ``ex_exponent`` reads cached rho ends
-and between them inverts the rate R(kappa) at which rho (G - R) peaks.
+one of them by safeguarded Newton steps.  ``ex_exponent`` inverts, between
+the cached rho ends, the rate R(kappa) at which rho (G - R) peaks; a rate at
+an end reads its witness from that end's record and builds only its point.
 """
 
 from __future__ import annotations
@@ -200,9 +201,24 @@ def _kappa_at(level: int, target: float, start: float) -> float:
     return newton_root(phi, 0.0, 1.0, start)
 
 
+def _witness(r: float, kappa: float, chain: tuple, rho_max: float,
+             capped: bool) -> ExParams:
+    """ExParams at kappa: rho is rho_max where capped, else r ell / G, kept
+    in (1, rho_max] against rounding in ell near rho = 1.  A ValueError
+    where G has rounded to 0."""
+    lam, g, sigma = chain[2], chain[4], chain[5]
+    if sigma == 1.0:
+        raise ValueError(f"rho_max {rho_max:g} is too large at r = {r:g}")
+    rho = rho_max if capped else min(
+        max(r * math.log(1.0 / lam) / g, math.nextafter(1.0, 2.0)), rho_max)
+    return ExParams(kappa=kappa, sigma=sigma, lam=lam, rho=rho)
+
+
 @functools.lru_cache(maxsize=4096)
 def _end(r: float, rho: float) -> tuple[float, float, tuple]:
-    """(kappa, R(kappa), _chain(kappa)) at the root of rho G + r log lam;
+    """(kappa, R(kappa), _chain(kappa) + (ell, witness)) at the root of
+    rho G + r log lam, where ell = log(1 / lam) and witness is the end's
+    ``_witness`` (rho, or r ell / G at rho = 1), None where it is refused;
     cached, since s_fn and every rate of an ex_exponent sweep read it."""
     def phi(kappa: float) -> tuple[float, float]:
         _, dx, lam, dlam, g, _ = _chain(kappa)
@@ -210,7 +226,13 @@ def _end(r: float, rho: float) -> tuple[float, float, tuple]:
 
     kappa = newton_root(phi, 0.0, 1.0, _KAPPA_START)
     chain = _chain(kappa)
-    return kappa, _rate(kappa, 0.0, chain)[0], chain
+    try:
+        witness = _witness(r, kappa, chain, rho if rho > 1.0 else math.inf,
+                           rho > 1.0)
+    except ValueError:
+        witness = None
+    return (kappa, _rate(kappa, 0.0, chain)[0],
+            chain + (math.log(1.0 / chain[2]), witness))
 
 
 def g_fn(x: float) -> float:
@@ -285,21 +307,19 @@ def ex_exponent(query: BoundQuery,
     if not 1e-10 <= r <= 1e10:
         raise ValueError(f"r must lie in [1e-10, 1e10], got {r}")
     rho_max = (settings or ExSettings).rho_max
-    k_cap, rate, chain = _end(r, rho_max)
+    k_cap, rate, end = _end(r, rho_max)
     kappa, capped = k_cap, R <= rate
     if not capped:
-        kappa, rate, chain = _end(r, 1.0)
+        kappa, rate, end = _end(r, 1.0)
         if R < rate:
             # Newton steps from the right of a convex root do not overshoot.
             kappa = newton_root(lambda k: _rate(k, R), k_cap, kappa, kappa)
-            chain = _chain(kappa)
-    _, _, lam, _, g, sigma = chain
-    if sigma == 1.0:
-        raise ValueError(f"rho_max {rho_max:g} is too large at r = {r:g}")
-    ell = math.log(1.0 / lam)
-    # Rounding in ell near rho = 1 can push rho just outside (1, rho_max].
-    rho = rho_max if capped else min(
-        max(r * ell / g, math.nextafter(1.0, 2.0)), rho_max)
-    witness = ExParams(kappa=kappa, sigma=sigma, lam=lam, rho=rho)
+            end = _chain(kappa)
+            end += (math.log(1.0 / end[2]), None)
+    _, _, _, _, g, _, ell, witness = end
+    # An interior root, an end without a witness, or a rho = 1 end's rho
+    # past a cap within ulps of 1.
+    if witness is None or witness.rho > rho_max:
+        witness = _witness(r, kappa, end, rho_max, capped)
     return ExExponentPoint(R=R, E=max(r * ell * (1.0 - R / g), 0.0),
                            argmax=witness, rho_capped=capped)

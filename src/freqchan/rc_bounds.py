@@ -47,18 +47,9 @@ from ._record import frozen
 from .optimize import maximize_scalar, newton_root  # noqa: F401
 from .special_fn import _finite, log_gamma, psi_fn, zeta, zeta_jet  # noqa: F401
 
-__all__ = [
-    "BoundQuery",
-    "ExponentPoint",
-    "KlTailBound",
-    "RcParams",
-    "delta_fn",
-    "lambda_fn",
-    "lemma1_tail_bound",
-    "rate_lower_bound",
-    "rc_exponent",
-    "thm1_probability_bound",
-]
+__all__ = ["BoundQuery", "ExponentPoint", "KlTailBound", "RcParams",
+           "delta_fn", "lambda_fn", "lemma1_tail_bound", "rate_lower_bound",
+           "rc_exponent", "thm1_probability_bound"]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -546,6 +547,72 @@ class TestRateRoot:
                 calls.append(0)
                 ex_exponent(BoundQuery(R=R, r=r))
             assert calls == [0] * 6
+
+    def test_benchmark_sweep_builds_one_witness_per_end(self, monkeypatch):
+        # The seed-1 ex-curve rates of perfbench/workloads.py: 45 at r = 400
+        # (its 5 anchors and 40 stratified on [0, 0.05]) and 4 stratified on
+        # [0, 0.02] at r = 100.  From cold records (the module applies
+        # cold_bound_caches to every test), every end solved keeps
+        # its witness, and only interior rates build one per call.
+        rng = random.Random("ex-curve/1")
+        rates = {0.0, 0.005, 0.01, 0.012, 0.014}
+        rates.update((i + rng.random()) * (0.05 / 40) for i in range(40))
+        second = [(i + rng.random()) * (0.02 / 4) for i in range(4)]
+        sweep = [(400.0, sorted(rates)), (100.0, second)]
+        assert [len(group) for _, group in sweep] == [45, 4]
+        chain_calls, params = _counted_chain(monkeypatch), [0]
+        init = ExParams.__init__
+
+        def counted(self, *args, **kwargs):
+            params[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExParams, "__init__", counted)
+        chain_calls.append(0)
+        for r, group in sweep:
+            for R in group:
+                ex_exponent(BoundQuery(R=R, r=r))
+        assert (params[0], chain_calls[0]) == (11, 62)
+        # A rate at an end that is already solved builds neither.
+        for r, _ in sweep:
+            _, r_one, chain = ex_bounds._end(r, 1.0)
+            for R in (0.0, 0.5 * (r_one + chain[4])):
+                params[0] = chain_calls[0] = 0
+                pt = ex_exponent(BoundQuery(R=R, r=r))
+                assert pt.rho_capped == (R == 0.0)
+                assert (params[0], chain_calls[0]) == (0, 0)
+
+    @pytest.mark.parametrize("rho_max", [math.nextafter(1.0, 2.0), 1 + 1e-12])
+    def test_cap_within_ulps_of_one_bounds_the_witness(self, rho_max):
+        # The rho = 1 end keeps r ell / G, which rounds up to ~4e-11 past
+        # 1; under a smaller cap each call reports rho_max instead.
+        settings = ExSettings(rho_max=rho_max)
+        for r in (1e-10, 1.0, 400.0, 1e10):
+            _, r_one, chain = ex_bounds._end(r, 1.0)
+            for R in (r_one, 0.5 * (r_one + chain[4]), 2.0 * chain[4], 1e3):
+                for _ in range(2):
+                    pt = ex_exponent(BoundQuery(R=R, r=r), settings)
+                    assert 1.0 < pt.argmax.rho <= rho_max
+
+    def test_cap_where_g_rounds_to_zero_raises_on_every_call(self):
+        query, settings = BoundQuery(R=0.0, r=1e-10), ExSettings(rho_max=1e22)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rho_max 1e"):
+                ex_exponent(query, settings)
+        assert ex_bounds._end(1e-10, 1e22)[2][7] is None
+
+    def test_s_fn_reads_the_end_g_bitwise(self):
+        # Including ends that keep no witness, where lam rounds past 1
+        # (from r / rho ~ 1e17 on).
+        unwitnessed = 0
+        for r in (1e-10, 1.0, 400.0, 1e10, 1e20):
+            for rho in (1.0 + 1e-12, 2.0, 1e3, 1e8, 1e10):
+                if rho > 1e20 * r:
+                    continue
+                kappa, _, chain = ex_bounds._end.__wrapped__(r, rho)
+                assert s_fn(r, rho) == chain[4] == ex_bounds._chain(kappa)[4]
+                unwitnessed += chain[7] is None
+        assert unwitnessed > 0
 
     def test_first_capped_rate_solves_only_the_cap_end(self, monkeypatch):
         end, seen = ex_bounds._end, []

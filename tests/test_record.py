@@ -114,6 +114,12 @@ class TestRecord:
                 delattr(record, name)
         assert _fields(record, args) == tuple(args.values())
 
+    def test_instance_dict_holds_the_fields_in_order(self, cls, args,
+                                                     defaults):
+        record = cls(**args)
+        assert list(vars(record)) == list(args)
+        assert all(map(_same, vars(record).values(), args.values()))
+
     def test_pickle_round_trip(self, cls, args, defaults):
         record = cls(**args)
         back = pickle.loads(pickle.dumps(record))
@@ -137,11 +143,14 @@ def test_records_of_another_class_or_value_differ():
 
 
 def test_post_init_normalises_a_field():
-    book = Codebook([[0.5, 0.5]])
+    rows = np.array([[1, 0]])
+    book = Codebook(rows)
     assert isinstance(book.codewords, np.ndarray)
     assert book.codewords.dtype == np.float64
+    assert vars(book)["codewords"] is book.codewords is not rows
     counts = SampleCounts([1, 2], trials=3)
     assert isinstance(counts.counts, np.ndarray)
+    assert list(vars(counts)) == ["counts", "trials"]
 
 
 @pytest.mark.parametrize("cls, kwargs, message", [
@@ -196,3 +205,16 @@ def test_fields_need_defaults_after_the_first_default():
         class Bad:
             a: int = 0
             b: int
+
+
+@pytest.mark.parametrize("name", ["self", "_cls", "_fields"])
+def test_fields_may_not_shadow_the_names_of_init(name):
+    with pytest.raises(TypeError, match=f"field '{name}' of Bad"):
+        frozen(type("Bad", (), {"__annotations__": {name: float}}))
+
+
+def test_a_field_may_be_named_set():
+    # The constructor writes the instance dict and binds no setter name,
+    # so ``_set`` is a plain field.
+    record = frozen(type("Free", (), {"__annotations__": {"_set": float}}))
+    assert record(1.0)._set == 1.0
