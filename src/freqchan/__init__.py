@@ -39,10 +39,10 @@ __version__ = "0.1.14"
 # (``channel.__all__`` is this tuple) resolve on first access (PEP 562),
 # so importing the package for the bounds alone never loads numpy.
 _CHANNEL_NAMES = (
-    "BcTailReport", "Codebook", "DecodeError", "MomentReport", "SampleCounts",
-    "SimConfig", "SimReport", "TailReport", "dirichlet_product_moment",
-    "estimate_bc_tail", "estimate_error_probability", "estimate_kl_tail",
-    "estimate_product_moment", "kl_divergence", "ml_decode", "wilson_std_err",
+    "BcTailReport", "DecodeError", "MomentReport", "SimConfig", "SimReport",
+    "TailReport", "dirichlet_product_moment", "estimate_bc_tail",
+    "estimate_error_probability", "estimate_kl_tail", "estimate_product_moment",
+    "kl_divergence", "ml_decode", "wilson_std_err",
 )
 
 

@@ -111,13 +111,9 @@ def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
     sums (sum w, sum w^2, events) of ``kernel(rng, size, *params)``, ``rng``
     being each chunk's substream (seed, tag, index).  The chunk size comes
     from ``_chunk_size``; ``parallelism`` never changes it."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if parallelism < 1:
-        raise ValueError(
-            f"parallelism must be a positive count, got {parallelism}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_count("trials", trials)
+    _check_count("parallelism", parallelism)
+    _check_count("seed", seed, least=0)
     chunk = _chunk_size(trials, codebook_entries)
     jobs = [(kernel, params, seed, tag, index, min(chunk, trials - start))
             for index, start in enumerate(range(0, trials, chunk))]
@@ -127,6 +123,16 @@ def _chunked(kernel, tag: int, seed: int, trials: int, params: tuple,
     if trials > 1:
         var *= trials / (trials - 1.0)
     return mean, math.sqrt(var / trials), sum(events)
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Refuse a ``value`` that is not an integer (4.5 or 10.0 is not) of at
+    least ``least``: 1 for a positive count, 0 for a seed."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        kind = "a positive count" if least else "nonnegative"
+        raise ValueError(f"{name} must be {kind}, got {value}")
 
 
 def _check_tail_chunk(n: int) -> None:
@@ -159,55 +165,6 @@ def _check_alpha(alpha: float, total: float) -> None:
 
 
 @frozen
-class Codebook:
-    """M codewords on the n-simplex, as an (M, n) matrix."""
-
-    codewords: np.ndarray
-
-    def __post_init__(self) -> None:
-        cw = np.asarray(self.codewords, dtype=np.float64)
-        if cw.ndim != 2 or cw.shape[0] < 1 or cw.shape[1] < 1:
-            raise ValueError("codewords must be a nonempty (M, n) matrix")
-        if np.any(cw < 0.0) or not np.all(np.isfinite(cw)):
-            raise ValueError("codewords must be finite and nonnegative")
-        if np.max(np.abs(cw.sum(axis=1) - 1.0)) > _SIMPLEX_ATOL:
-            raise ValueError("each codeword must sum to 1 within 1e-12")
-        object.__setattr__(self, "codewords", cw)
-
-    @property
-    def m(self) -> int:
-        return int(self.codewords.shape[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.codewords.shape[1])
-
-
-@frozen
-class SampleCounts:
-    """Multinomial counts over n types from a known number of draws."""
-
-    counts: np.ndarray
-    trials: int
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1 or counts.size < 1:
-            raise ValueError("counts must be a nonempty 1-D vector")
-        if not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError("counts must be integers")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
-        if int(counts.sum()) != self.trials:
-            raise ValueError("counts must sum to the number of trials")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def empirical(self) -> np.ndarray:
-        return self.counts / float(self.trials)
-
-
-@frozen
 class SimConfig:
     """Configuration of one error-probability experiment.
 
@@ -227,26 +184,21 @@ class SimConfig:
     fresh_codebook: bool = True
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive count, got {self.n}")
+        _check_count("n", self.n)
         if not (_finite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be positive, got {self.r}")
         _reads(self.n, self.r)
         _check_alpha(self.alpha, self.n * float(self.alpha)
                      if _finite(self.alpha) else math.inf)
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_count("trials", self.trials)
+        _check_count("seed", self.seed, least=0)
         if (self.M is None) == (self.R is None):
             raise ValueError("exactly one of M and R must be given")
-        if self.M is not None and self.M < 1:
-            raise ValueError(f"M must be a positive count, got {self.M}")
+        if self.M is not None:
+            _check_count("M", self.M)
         if self.R is not None and not (_finite(self.R) and self.R >= 0.0):
             raise ValueError(f"R must be finite and >= 0, got {self.R}")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be a positive count, "
-                             f"got {self.parallelism}")
+        _check_count("parallelism", self.parallelism)
         # In log space, so that exp(n R) is never formed when it is huge.
         log_m = math.log(self.M) if self.M is not None else self.n * self.R
         if log_m > math.log(_MAX_CODEBOOK_ENTRIES / self.n):
@@ -342,8 +294,6 @@ def _dirichlet(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
 
 
 def _as_pmf(x) -> np.ndarray:
-    if isinstance(x, SampleCounts):
-        return x.empirical
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a 1-D probability vector")
@@ -386,8 +336,8 @@ def _rel_entr_sum(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 def kl_divergence(q, p) -> float:
     """D(q || p) in nats with 0 log 0 = 0; +inf when q charges a p-null type.
 
-    Both arguments may be SampleCounts (read as empirical frequencies)
-    or plain probability vectors.
+    Both arguments are probability vectors of one length, each summing to 1
+    within 1e-9; read counts enter as their frequencies, counts / counts.sum().
     """
     qv = _as_pmf(q)
     pv = _as_pmf(p)
@@ -418,18 +368,32 @@ def _decode(counts: np.ndarray, log_codewords: np.ndarray) -> np.ndarray:
     return ll.argmax(axis=1)
 
 
-def ml_decode(counts: SampleCounts, codebook: Codebook) -> int:
-    """Maximum-likelihood message index for the observed counts.
+def ml_decode(counts, codewords) -> int:
+    """Maximum-likelihood row of ``codewords``, an (M, n) matrix on the
+    n-simplex within 1e-12, for ``counts``, a nonempty 1-D vector of
+    nonnegative integer reads per type; neither array is modified.
 
-    Equivalent to minimizing D(empirical || p_m) over the codebook; ties
-    resolve to the lowest index, so a tie involving the true message can
-    resolve away from it and is then counted as an error by the
-    simulator.
+    Equivalent to minimizing D(counts / counts.sum() || p_m) over the rows;
+    ties resolve to the lowest index, so a tie involving the true message can
+    resolve away from it and is then counted as an error by the simulator.
     """
-    if len(counts.counts) != codebook.n:
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.size < 1:
+        raise ValueError("counts must be a nonempty 1-D vector")
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError("counts must be integers")
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    cw = np.asarray(codewords, dtype=np.float64)
+    if cw.ndim != 2 or cw.shape[0] < 1 or cw.shape[1] < 1:
+        raise ValueError("codewords must be a nonempty (M, n) matrix")
+    if np.any(cw < 0.0) or not np.all(np.isfinite(cw)):
+        raise ValueError("codewords must be finite and nonnegative")
+    if np.max(np.abs(cw.sum(axis=1) - 1.0)) > _SIMPLEX_ATOL:
+        raise ValueError("each codeword must sum to 1 within 1e-12")
+    if counts.size != cw.shape[1]:
         raise ValueError("counts and codebook disagree on the type count")
-    return int(_decode(counts.counts[None, :],
-                       _log(codebook.codewords)[None])[0])
+    return int(_decode(counts[None, :], _log(cw)[None])[0])
 
 
 def _wilson_ci(errors: int, trials: int) -> tuple[float, float]:
@@ -532,6 +496,7 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
                      seed: int, parallelism: int = 1) -> TailReport:
     """Empirical frequency of D(empirical || p) >= rho_n over fresh
     Dirichlet(alpha) points p, next to its analytic ceiling."""
+    _check_count("n", n)
     reads = _reads(n, r)
     _check_alpha(alpha, n * float(alpha) if _finite(alpha) else math.inf)
     _check_tail_chunk(n)
@@ -566,8 +531,7 @@ def estimate_bc_tail(n: int, lam: float, trials: int, seed: int,
                      parallelism: int = 1) -> BcTailReport:
     """Empirical frequency of the overlap of two independent
     Dirichlet(1/2) points reaching lam, next to 4 exp(-n L(lam))."""
-    if n < 1:
-        raise ValueError(f"n must be a positive count, got {n}")
+    _check_count("n", n)
     _check_tail_chunk(n)
     bound = 4.0 * math.exp(-n * l_fn(lam))
     mean, std_err, events = _chunked(_bc_tail_chunk, _STREAM_BC_CHUNK, seed,
@@ -631,6 +595,7 @@ def estimate_product_moment(alphas, betas, trials: int, seed: int,
     and never on ``parallelism``.
     """
     a, b = _moment_arrays(alphas, betas)
+    _check_tail_chunk(a.size)
     closed_form = dirichlet_product_moment(a, b)  # bad input fails first
     mean, std_err, _ = _chunked(_moment_chunk, _STREAM_MOMENT_CHUNK, seed,
                                 trials, (a, b), parallelism)

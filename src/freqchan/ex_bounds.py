@@ -62,13 +62,15 @@ _S_RHO_PER_R_MAX = 1e20
 @frozen
 class ExSettings:
     """The cap on rho in the expurgated supremum over rho >= 1; an
-    exponent whose optimal rho reaches it is flagged ``rho_capped``."""
+    exponent whose optimal rho reaches it is flagged ``rho_capped``.  Kept
+    as a float, so the rho end cached under it reports a float rho always."""
 
     rho_max: float = 1000.0
 
     def __post_init__(self) -> None:
         if not (_finite(self.rho_max) and self.rho_max > 1.0):
             raise ValueError("rho_max must be finite and exceed 1")
+        object.__setattr__(self, "rho_max", float(self.rho_max))
 
 
 @frozen

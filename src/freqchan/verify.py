@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .baselines import FirQuery, converse_rate, fir_rate
-from .channel import (Codebook, SampleCounts, SimConfig, _dirichlet,
+from .channel import (SimConfig, _check_count, _dirichlet,
                       dirichlet_product_moment, estimate_bc_tail,
                       estimate_error_probability, estimate_kl_tail,
                       estimate_product_moment, kl_divergence, ml_decode)
@@ -135,18 +135,15 @@ def _suite_channel(seed: int) -> list[Check]:
 
     rng = np.random.default_rng(seed)
     rows = np.stack([_dirichlet(rng, 0.5, 6) for _ in range(8)])
-    cb = Codebook(codewords=rows)
-    sums = cb.codewords.sum(axis=1)
-    ok = (cb.codewords.shape == (8, 6) and np.all(cb.codewords >= 0.0)
-          and np.allclose(sums, 1.0, atol=1e-12))
+    ok = (rows.shape == (8, 6) and np.all(rows >= 0.0)
+          and np.allclose(rows.sum(axis=1), 1.0, atol=1e-12))
     checks.append(("codebook rows on the simplex", ok, "8 rows, 6 types"))
 
     ok = True
     for _ in range(50):
-        counts = SampleCounts(rng.multinomial(24, _dirichlet(rng, 0.5, 6)),
-                              trials=24)
-        ml = ml_decode(counts, cb)
-        kls = [kl_divergence(counts, cb.codewords[i]) for i in range(cb.m)]
+        counts = rng.multinomial(24, _dirichlet(rng, 0.5, 6))
+        ml = ml_decode(counts, rows)
+        kls = [kl_divergence(counts / 24, row) for row in rows]
         ok = ok and ml == int(np.argmin(kls))
     checks.append(("ml decode equals divergence minimizer", ok, "50 draws"))
 
@@ -201,7 +198,6 @@ SUITES = {
 def run_suites(suite: str, seed: int = 0) -> list[Check]:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_count("seed", seed, least=0)
     names = list(SUITES) if suite == "all" else [suite]
     return [check for name in names for check in SUITES[name](seed)]

@@ -180,16 +180,12 @@ def test_criterion_08_product_moment_oracle():
 
 def _exact_error_rate_two_types(codewords: np.ndarray) -> float:
     """Exact error probability at n=2, reads=4, M=2 for one codebook."""
-    from freqchan.channel import Codebook, SampleCounts
-
-    cb = Codebook(codewords=codewords)
     total = 0.0
     for message in range(2):
         p1 = codewords[message, 0]
         for z in range(5):
             prob = math.comb(4, z) * p1 ** z * (1.0 - p1) ** (4 - z)
-            counts = SampleCounts(counts=np.array([z, 4 - z]), trials=4)
-            if ml_decode(counts, cb) != message:
+            if ml_decode(np.array([z, 4 - z]), codewords) != message:
                 total += 0.5 * prob
     return total
 

@@ -9,9 +9,8 @@ import scipy.special
 import scipy.stats
 
 from freqchan import channel
-from freqchan.channel import (BcTailReport, Codebook, DecodeError,
-                              MomentReport, SampleCounts, SimConfig,
-                              SimReport, TailReport,
+from freqchan.channel import (BcTailReport, DecodeError, MomentReport,
+                              SimConfig, SimReport, TailReport,
                               dirichlet_product_moment,
                               estimate_bc_tail, estimate_error_probability,
                               estimate_kl_tail, estimate_product_moment,
@@ -23,7 +22,7 @@ KL_34_12 = 0.13081203594113695913
 
 class TestSimplexTypes:
     # Plain probability vectors are checked where they are read, by
-    # kl_divergence.
+    # kl_divergence, and codewords by ml_decode.
     def test_simplex_point_accepts_valid(self):
         p = np.full(10, 0.1)  # sums to 1 - 1.1e-16
         assert kl_divergence(p, p) == 0.0
@@ -38,22 +37,9 @@ class TestSimplexTypes:
         with pytest.raises(ValueError):
             kl_divergence(np.array([0.5, 0.5]), probs)
 
-    def test_codebook_shape_and_rows(self):
-        cw = np.array([[0.5, 0.5], [0.9, 0.1]])
-        cb = Codebook(codewords=cw)
-        assert cb.m == 2 and cb.n == 2
-
     def test_codebook_rejects_bad_rows(self):
         with pytest.raises(ValueError):
-            Codebook(codewords=np.array([[0.5, 0.6]]))
-
-    def test_sample_counts_conservation(self):
-        with pytest.raises(ValueError):
-            SampleCounts(counts=np.array([2, 1]), trials=4)
-        with pytest.raises(ValueError):
-            SampleCounts(counts=np.array([2.0, 2.0]), trials=4)
-        sc = SampleCounts(counts=np.array([3, 1]), trials=4)
-        assert sc.empirical.tolist() == [0.75, 0.25]
+            ml_decode(np.array([2, 2]), np.array([[0.5, 0.6]]))
 
 
 class TestSampleDirichlet:
@@ -130,8 +116,8 @@ class TestDivergenceAndOverlap:
                              np.array([1.0, 0.0])) == math.inf
 
     def test_kl_accepts_counts(self):
-        sc = SampleCounts(counts=np.array([3, 1]), trials=4)
-        assert kl_divergence(sc, np.array([0.5, 0.5])) \
+        counts = np.array([3, 1])
+        assert kl_divergence(counts / counts.sum(), np.array([0.5, 0.5])) \
             == pytest.approx(KL_34_12, rel=1e-14)
 
     def test_batched_kl_matches_scipy_rel_entr(self):
@@ -163,40 +149,30 @@ class TestDivergenceAndOverlap:
 class TestMlDecode:
     def test_exact_member_wins(self):
         cw = np.array([[0.5, 0.5], [0.75, 0.25], [0.1, 0.9]])
-        cb = Codebook(codewords=cw)
-        sc = SampleCounts(counts=np.array([3, 1]), trials=4)
-        assert ml_decode(sc, cb) == 1
+        assert ml_decode(np.array([3, 1]), cw) == 1
 
     def test_equals_divergence_minimizer(self):
         rng = np.random.default_rng(5)
         mismatches = 0
         for _ in range(2_000):
             rows = channel._dirichlet(rng, 0.5, (6, 4))
-            cb = Codebook(codewords=rows)
-            counts = SampleCounts(
-                rng.multinomial(12, channel._dirichlet(rng, 0.5, 4)),
-                trials=12)
-            kls = [kl_divergence(counts, rows[i]) for i in range(6)]
-            mismatches += ml_decode(counts, cb) != int(np.argmin(kls))
+            counts = rng.multinomial(12, channel._dirichlet(rng, 0.5, 4))
+            kls = [kl_divergence(counts / 12, rows[i]) for i in range(6)]
+            mismatches += ml_decode(counts, rows) != int(np.argmin(kls))
         assert mismatches == 0
 
     def test_tie_resolves_to_lowest_index(self):
         cw = np.array([[0.5, 0.5], [0.5, 0.5], [0.9, 0.1]])
-        cb = Codebook(codewords=cw)
-        sc = SampleCounts(counts=np.array([2, 2]), trials=4)
-        assert ml_decode(sc, cb) == 0
+        assert ml_decode(np.array([2, 2]), cw) == 0
 
     def test_all_zero_likelihood_is_an_error(self):
         cw = np.array([[1.0, 0.0], [1.0, 0.0]])
-        cb = Codebook(codewords=cw)
-        sc = SampleCounts(counts=np.array([0, 2]), trials=2)
         with pytest.raises(DecodeError):
-            ml_decode(sc, cb)
+            ml_decode(np.array([0, 2]), cw)
 
     def test_length_mismatch(self):
-        cb = Codebook(codewords=np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
-            ml_decode(SampleCounts(counts=np.array([1, 1, 0]), trials=2), cb)
+            ml_decode(np.array([1, 1, 0]), np.array([[0.5, 0.5]]))
 
 
 def _batch(rng, trials, m, n, reads, zeros=False):
@@ -218,10 +194,9 @@ class TestBatchedDecode:
         cw, counts = _batch(rng, 500, 6, 4, 12, zeros)
         decoded = channel._decode(counts, channel._log(cw))
         for t in range(cw.shape[0]):
-            cb = Codebook(codewords=cw[t])
-            sc = SampleCounts(counts=counts[t], trials=12)
-            kls = [kl_divergence(sc, row) for row in cw[t]]
-            assert decoded[t] == ml_decode(sc, cb) == int(np.argmin(kls))
+            kls = [kl_divergence(counts[t] / 12, row) for row in cw[t]]
+            assert decoded[t] == ml_decode(counts[t], cw[t]) \
+                == int(np.argmin(kls))
 
     def test_planted_ties_go_to_lowest_index(self):
         rng = np.random.default_rng(23)
@@ -407,11 +382,9 @@ class TestErrorSimulation:
             messages = rng.integers(4, size=size)
             counts = rng.multinomial(10, books[np.arange(size), messages])
             for t in range(size):
-                codebook = Codebook(codewords=books[t])
-                before = codebook.codewords.copy()
-                errors += ml_decode(SampleCounts(counts=counts[t], trials=10),
-                                    codebook) != messages[t]
-                assert np.array_equal(codebook.codewords, before)
+                before = books[t].copy()
+                errors += ml_decode(counts[t], books[t]) != messages[t]
+                assert np.array_equal(books[t], before)
         assert reports[0].errors == reports[1].errors == errors > 0
         for fixed in shared:
             assert fresh or (np.array_equal(fixed[0], book)
@@ -627,20 +600,26 @@ class TestTailChunks:
                            size, n, 4 * n, 0.5, m, fixed)
         assert peak <= size * m * n * 8 + size * n * 8 + (1 << 18)
 
-    @pytest.mark.parametrize("name", ["kl", "bc"])
+    @pytest.mark.parametrize("name", ["kl", "bc", "moment"])
     def test_oversized_chunk_refused_first(self, monkeypatch, name,
                                            address_space_cap):
         def no_call(*args):
             raise AssertionError("called before the chunk-size check")
 
-        for fn in ("lemma1_tail_bound", "l_fn", "_dirichlet", "_chunked"):
+        for fn in ("lemma1_tail_bound", "l_fn", "_dirichlet", "_chunked",
+                   "dirichlet_product_moment"):
             monkeypatch.setattr(channel, fn, no_call)
         with pytest.raises(ValueError, match="chunk budget"):
             if name == "kl":
                 estimate_kl_tail(n=10 ** 6, r=4.0, alpha=0.5, mu=0.1,
                                  trials=10 ** 4, seed=1)
-            else:
+            elif name == "bc":
                 estimate_bc_tail(n=10 ** 6, lam=0.9, trials=10 ** 4, seed=1)
+            else:
+                # 10^5 shapes: a 4096-trial chunk would hold ~3.3 GB per array.
+                estimate_product_moment(np.full(10 ** 5, 0.5),
+                                        np.ones(10 ** 5), trials=10 ** 4,
+                                        seed=1)
 
     def test_chunk_budget_edge(self):
         n = channel._MAX_CODEBOOK_ENTRIES // channel._CHUNK
@@ -822,19 +801,41 @@ ESTIMATORS = {"error": _error, "kl_tail": _kl_tail, "bc_tail": _bc_tail,
               "moment": _moment}
 
 
+def _no_draw(*args):
+    raise AssertionError("drawn before the input check")
+
+
 class TestChunkDriver:
     @pytest.mark.parametrize("name, key, value", [
         (name, key, value) for name in ESTIMATORS
         for key, value in (("parallelism", 0), ("parallelism", -3),
-                           ("trials", 0), ("trials", -1), ("seed", -1))
+                           ("parallelism", 1.5), ("trials", 0),
+                           ("trials", -1), ("trials", 10.0), ("seed", -1),
+                           ("seed", 0.5))
     ] + [(name, "alpha", alpha) for name in ("error", "kl_tail", "moment")
          for alpha in (0.0, -1.0, math.nan, math.inf, 1e-308, 1e-320)
     ] + [(name, "alpha", 1e308) for name in ("error", "kl_tail")])
-    def test_bad_input_is_a_value_error(self, name, key, value):
+    def test_bad_input_is_a_value_error(self, monkeypatch, name, key, value):
+        monkeypatch.setattr(channel, "_substream", _no_draw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=key):
                 ESTIMATORS[name](**{key: value})
+
+    @pytest.mark.parametrize("fn, kwargs, key", [
+        (SimConfig, dict(n=4.5, r=2.0, alpha=0.5, trials=10, seed=1, M=2),
+         "n"),
+        (SimConfig, dict(n=4, r=2.0, alpha=0.5, trials=10, seed=1, M=2.5),
+         "M"),
+        (estimate_kl_tail, dict(n=4.5, r=2.0, alpha=0.5, mu=0.1, trials=10,
+                                seed=1), "n"),
+        (estimate_bc_tail, dict(n=4.5, lam=0.9, trials=10, seed=1), "n"),
+    ])
+    def test_non_integer_size_is_a_value_error(self, monkeypatch, fn, kwargs,
+                                               key):
+        monkeypatch.setattr(channel, "_substream", _no_draw)
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            fn(**kwargs)
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_too_many_chunks_rejected(self, name, address_space_cap):

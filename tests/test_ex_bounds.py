@@ -356,6 +356,15 @@ class TestExExponent:
         assert pt_small.rho_capped and pt_big.rho_capped
         assert pt_small.E < pt_big.E
 
+    @pytest.mark.parametrize("first, second", [(50, 50.0), (50.0, 50)])
+    def test_capped_rho_is_a_float_whichever_cap_came_first(self, first,
+                                                            second):
+        # An int cap and the equal float share one cached rho end.
+        for cap in (first, second):
+            rho = ex_exponent(BoundQuery(R=0.0, r=400.0),
+                              ExSettings(rho_max=cap)).argmax.rho
+            assert type(rho) is float and rho == 50.0
+
     def test_zero_beyond_crossover(self):
         pt = ex_exponent(BoundQuery(R=0.05, r=400.0))
         assert pt.E == 0.0
