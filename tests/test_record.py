@@ -137,7 +137,7 @@ def test_post_init_normalises_a_field():
     assert settings == ExSettings(50.0)
 
 
-@pytest.mark.parametrize("cls, kwargs, message", [
+VALUE_CHECKS = [
     (SimConfig, {"n": 4, "r": 2.0, "alpha": 1.0, "trials": 10, "seed": -1,
                  "M": 2}, "seed must be nonnegative, got -1"),
     (RcParams, {"alpha": 0.5, "xi": 0.0}, "xi must be positive, got 0.0"),
@@ -183,7 +183,14 @@ def test_post_init_normalises_a_field():
      "counts and codebook disagree on the type count"),
     (run_suites, {"suite": "channel", "seed": 1.5},
      "seed must be an integer, got 1.5"),
-])
+]
+
+
+# Named by function and message rather than list position, so that adding
+# or removing a case renames no other; pytest numbers the two cases that
+# share a message.
+@pytest.mark.parametrize("cls, kwargs, message", VALUE_CHECKS, ids=[
+    f"{fn.__name__}-{message[:24]}" for fn, _, message in VALUE_CHECKS])
 def test_value_checks_are_unchanged(cls, kwargs, message):
     with pytest.raises(ValueError, match=message):
         cls(**kwargs)
