@@ -11,7 +11,6 @@ from .baselines import FirQuery, converse_rate, fir_rate
 from .ex_bounds import (
     ExExponentPoint,
     ExParams,
-    ExSettings,
     ex_exponent,
     f_kappa,
     g_fn,
@@ -22,7 +21,6 @@ from .ex_bounds import (
 from .rc_bounds import (
     BoundQuery,
     ExponentPoint,
-    KlTailBound,
     RcParams,
     delta_fn,
     lambda_fn,

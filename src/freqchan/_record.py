@@ -5,8 +5,7 @@
 its default), which calls ``__post_init__`` when the class has one;
 equality and hash over the field tuple, for records of the same class
 only; a ``Name(field=value, ...)`` repr; and ``FrozenInstanceError`` on
-assignment or deletion.  ``__post_init__`` may normalise a field with
-``object.__setattr__``.  Records pickle through their ``__dict__``.
+assignment or deletion.  Records pickle through their ``__dict__``.
 
 That decorator's module costs milliseconds to import (it loads
 ``inspect``), and it compiles six methods per frozen class with ``exec``.

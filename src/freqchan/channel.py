@@ -31,7 +31,7 @@ import numpy.random  # noqa: F401  at import, not lazily at the first draw
 from . import _CHANNEL_NAMES as __all__
 from ._record import frozen
 from .ex_bounds import l_fn
-from .rc_bounds import BoundQuery, KlTailBound, lemma1_tail_bound, thm1_probability_bound
+from .rc_bounds import BoundQuery, lemma1_tail_bound, thm1_probability_bound
 from .special_fn import _finite, log_gamma
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -500,12 +500,12 @@ def estimate_kl_tail(n: int, r: float, alpha: float, mu: float, trials: int,
     reads = _reads(n, r)
     _check_alpha(alpha, n * float(alpha) if _finite(alpha) else math.inf)
     _check_tail_chunk(n)
-    tail: KlTailBound = lemma1_tail_bound(n, r, mu)
+    bound, rho_n = lemma1_tail_bound(n, r, mu)
     mean, std_err, events = _chunked(
         _kl_tail_chunk, _STREAM_KL_CHUNK, seed, trials,
-        (n, reads, alpha, tail.rho_n), parallelism)
-    return TailReport(mu=mu, rho_n=tail.rho_n, empirical=mean,
-                      bound=tail.bound, events=events, std_err=std_err)
+        (n, reads, alpha, rho_n), parallelism)
+    return TailReport(mu=mu, rho_n=rho_n, empirical=mean,
+                      bound=bound, events=events, std_err=std_err)
 
 
 def _bc_tail_chunk(rng: np.random.Generator, size: int, n: int,

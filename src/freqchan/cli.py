@@ -26,7 +26,7 @@ import time
 
 from . import __version__
 from .baselines import FirQuery, converse_rate, fir_rate
-from .ex_bounds import ExSettings, ex_exponent
+from .ex_bounds import RHO_MAX, _check_rho_max, ex_exponent
 from .rc_bounds import BoundQuery, rc_exponent, rate_lower_bound
 
 __all__ = ["main", "console",
@@ -123,7 +123,7 @@ def cmd_exponents(args: argparse.Namespace) -> int:
     rates = parse_range(args.rate)
     if args.gnuplot and args.which == "both":
         raise UsageError("--gnuplot needs --which rc or ex to pick a curve")
-    ex_settings = ExSettings(rho_max=args.rho_max)
+    _check_rho_max(args.rho_max)  # before any row, whichever curves run
 
     lines = [_CSV_HEADER]
     for rate in rates:
@@ -134,7 +134,7 @@ def cmd_exponents(args: argparse.Namespace) -> int:
             cells[3] = _fmt(pt.argmax.alpha)
             cells[4] = _fmt(pt.argmax.xi)
         if args.which in ("ex", "both"):
-            ept = ex_exponent(BoundQuery(R=rate, r=args.r), ex_settings)
+            ept = ex_exponent(BoundQuery(R=rate, r=args.r), args.rho_max)
             cells[2] = _fmt(ept.E)
             cells[5] = _fmt(ept.argmax.rho)
             cells[6] = "1" if ept.rho_capped else "0"
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", required=True, metavar="LO:HI:STEP",
                    help="rate grid in nats")
     p.add_argument("--which", choices=("rc", "ex", "both"), default="both")
-    p.add_argument("--rho-max", type=float, default=ExSettings.rho_max,
+    p.add_argument("--rho-max", type=float, default=RHO_MAX,
                    help="cap on the expurgation power rho")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--gnuplot", help="also write a two-column plot file")

@@ -26,11 +26,15 @@ from .optimize import maximize_scalar, newton_root  # noqa: F401
 from .rc_bounds import BoundQuery
 from .special_fn import _finite
 
-__all__ = ["ExExponentPoint", "ExParams", "ExSettings", "MEAN_ABS_XY",
+__all__ = ["ExExponentPoint", "ExParams", "MEAN_ABS_XY", "RHO_MAX",
            "ex_exponent", "f_kappa", "g_fn", "j_fn", "l_fn", "s_fn"]
 
 # E|XY| for independent standard normals; G and L vanish at or below it.
 MEAN_ABS_XY = 2.0 / math.pi
+
+# The default cap on rho in the expurgated supremum over rho >= 1; an
+# exponent whose optimal rho reaches the cap is flagged ``rho_capped``.
+RHO_MAX = 1000.0
 
 # Newton solves in kappa start at 0.2, just above every L and S root
 # (lam(0.19285) = 1); l_fn near 2/pi starts from the linearization of lam
@@ -57,20 +61,6 @@ _SIGMA_ITERS = 20
 # kappa x - log F that give it.  Up to 1e20, S is within 6e-6 relative of
 # its limit r log(pi/2) / rho; it is 20% off by 1e29 and below 0 from ~1e32.
 _S_RHO_PER_R_MAX = 1e20
-
-
-@frozen
-class ExSettings:
-    """The cap on rho in the expurgated supremum over rho >= 1; an
-    exponent whose optimal rho reaches it is flagged ``rho_capped``.  Kept
-    as a float, so the rho end cached under it reports a float rho always."""
-
-    rho_max: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if not (_finite(self.rho_max) and self.rho_max > 1.0):
-            raise ValueError("rho_max must be finite and exceed 1")
-        object.__setattr__(self, "rho_max", float(self.rho_max))
 
 
 @frozen
@@ -203,6 +193,14 @@ def _kappa_at(level: int, target: float, start: float) -> float:
     return newton_root(phi, 0.0, 1.0, start)
 
 
+def _check_rho_max(rho_max: float) -> float:
+    """rho_max as a float, so the rho end cached under it reports a float
+    rho always; a ValueError unless it is finite and exceeds 1."""
+    if not (_finite(rho_max) and rho_max > 1.0):
+        raise ValueError("rho_max must be finite and exceed 1")
+    return float(rho_max)
+
+
 def _witness(r: float, kappa: float, chain: tuple, rho_max: float,
              capped: bool) -> ExParams:
     """ExParams at kappa: rho is rho_max where capped, else r ell / G, kept
@@ -293,8 +291,9 @@ def s_fn(r: float, rho: float) -> float:
 
 
 def ex_exponent(query: BoundQuery,
-                settings: ExSettings | None = None) -> ExExponentPoint:
-    """max(0, sup over rho in (1, rho_max] of rho (S(r, rho) - R)).
+                rho_max: float = RHO_MAX) -> ExExponentPoint:
+    """max(0, sup over rho in (1, rho_max] of rho (S(r, rho) - R)), for a
+    finite cap rho_max > 1.
 
     Between R(kappa(rho_max)) and R(kappa(1)) the supremum is at the root
     of R(kappa) = R, beyond them at the cached rho = 1 or rho_max end.  The
@@ -305,10 +304,10 @@ def ex_exponent(query: BoundQuery,
     end keeps under four digits (none from r ~ 1e17, where lam rounds to
     1); below, G at the rho_max end is a difference of terms 5e6 its size.
     """
+    rho_max = _check_rho_max(rho_max)
     R, r = query.R, query.r
     if not 1e-10 <= r <= 1e10:
         raise ValueError(f"r must lie in [1e-10, 1e10], got {r}")
-    rho_max = (settings or ExSettings).rho_max
     k_cap, rate, end = _end(r, rho_max)
     kappa, capped = k_cap, R <= rate
     if not capped:

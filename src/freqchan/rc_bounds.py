@@ -47,8 +47,8 @@ from ._record import frozen
 from .optimize import maximize_scalar, newton_root  # noqa: F401
 from .special_fn import _finite, log_gamma, psi_fn, zeta, zeta_jet  # noqa: F401
 
-__all__ = ["BoundQuery", "ExponentPoint", "KlTailBound", "RcParams",
-           "delta_fn", "lambda_fn", "lemma1_tail_bound", "rate_lower_bound",
+__all__ = ["BoundQuery", "ExponentPoint", "RcParams", "delta_fn",
+           "lambda_fn", "lemma1_tail_bound", "rate_lower_bound",
            "rc_exponent", "thm1_probability_bound"]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -99,14 +99,6 @@ class ExponentPoint:
     def __post_init__(self) -> None:
         if not self.E >= 0.0:
             raise ValueError(f"exponent must be nonnegative, got {self.E}")
-
-
-@frozen
-class KlTailBound:
-    """Right-hand side of the divergence tail ceiling plus its threshold."""
-
-    bound: float
-    rho_n: float
 
 
 def lambda_fn(r: float, alpha: float, xi: float) -> float:
@@ -248,15 +240,13 @@ def thm1_probability_bound(query: BoundQuery, n: int) -> float:
     return math.exp(math.log(2.0) + prefactor - n * rc_exponent(query).E)
 
 
-def lemma1_tail_bound(n: int, r: float, mu: float) -> KlTailBound:
-    """Ceiling sqrt(2 pi e n r) exp(-n mu) on the divergence tail.
-
-    The tail event is D(empirical || p) >= rho_n with threshold
-    rho_n = (Delta(r) + mu) / r, returned alongside the bound.
+def lemma1_tail_bound(n: int, r: float, mu: float) -> tuple[float, float]:
+    """(bound, rho_n): the ceiling sqrt(2 pi e n r) exp(-n mu) on the
+    divergence tail D(empirical || p) >= rho_n, and its threshold
+    rho_n = (Delta(r) + mu) / r.
     """
     if not (_finite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     if not (_finite(mu) and mu > 0.0):
         raise ValueError(f"mu must be positive, got {mu}")
-    return KlTailBound(bound=math.exp(_log_prefactor(n, r) - n * mu),
-                       rho_n=(delta_fn(r) + mu) / r)
+    return math.exp(_log_prefactor(n, r) - n * mu), (delta_fn(r) + mu) / r

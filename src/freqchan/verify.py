@@ -87,10 +87,10 @@ def _suite_rc(seed: int) -> list[Check]:
     checks.append(("random-coding exponent decreasing, zero past R_LB", ok,
                    f"E(0)={es[0]:.6g} E(2.5)={es[-1]:.6g}"))
 
-    tail = lemma1_tail_bound(100, 4.0, 0.1)
-    ok = 0.0 < tail.bound < 1.0 and tail.rho_n > 0.0
+    bound, rho_n = lemma1_tail_bound(100, 4.0, 0.1)
+    ok = 0.0 < bound < 1.0 and rho_n > 0.0
     checks.append(("divergence tail bound sane", ok,
-                   f"bound={tail.bound:.6g} rho_n={tail.rho_n:.6g}"))
+                   f"bound={bound:.6g} rho_n={rho_n:.6g}"))
     return checks
 
 

@@ -552,7 +552,7 @@ class TestTailChunks:
         # One block's points, counts, frequencies and terms (~868 KiB): 3.72
         # MiB when the chunk's points were drawn in one call, and 12.96 MiB
         # when its reads were too.
-        rho_n = channel.lemma1_tail_bound(100, 4.0, 0.1).rho_n
+        rho_n = channel.lemma1_tail_bound(100, 4.0, 0.1)[1]
         peak = _peak_bytes(channel._kl_tail_chunk, channel._STREAM_KL_CHUNK,
                            4096, 100, 400, 0.5, rho_n)
         assert peak <= 1 << 20

@@ -138,6 +138,17 @@ class TestExponentsCommand:
         assert [row[6] for row in rows] == ["0", "0"]
         assert float(rows[0][5]) > 1.0
 
+    def test_capped_rows_report_the_cap(self, tmp_path):
+        # Without --rho-max, the library's default cap.
+        out = tmp_path / "exp.csv"
+        for cap, want in (([], "1000"), (["--rho-max", "50"], "50")):
+            code = main(["exponents", "--r", "400", "--rate", "0:0.002:0.001",
+                         "--which", "ex", "--out", str(out)] + cap)
+            assert code == EXIT_OK
+            rows = [ln.split(",") for ln in _read(out).strip().split("\n")[1:]]
+            assert [row[5:] for row in rows] == [[want, "1"]] * 3
+            assert _manifest(str(out) + ".manifest")[1]["rho-max"] == want
+
     def test_gnuplot_two_columns(self, tmp_path):
         out = tmp_path / "exp.csv"
         gp = tmp_path / "exp.dat"
@@ -157,15 +168,20 @@ class TestExponentsCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--r", "inf"), ("--r", "nan"), ("--r", "0"), ("--r", "-4"),
-        ("--rho-max", "nan"), ("--rho-max", "inf"), ("--rho-max", "1"),
-    ])
-    def test_bad_number_is_usage_error(self, tmp_path, flag, value):
+    # A bad cap is refused before any row is written, whichever curves the
+    # rows hold.  Cases under the default --which both keep their old ids.
+    BAD_NUMBERS = ([("--r", v, "both") for v in ("inf", "nan", "0", "-4")]
+                   + [("--rho-max", v, which) for which in ("both", "rc", "ex")
+                      for v in ("nan", "inf", "1")])
+
+    @pytest.mark.parametrize("flag, value, which", BAD_NUMBERS, ids=[
+        f"{flag}-{value}" + ("" if which == "both" else f"-{which}")
+        for flag, value, which in BAD_NUMBERS])
+    def test_bad_number_is_usage_error(self, tmp_path, flag, value, which):
         argv = {"--r": "400", "--rho-max": "1000"}
         argv[flag] = value
         code = main(["exponents", "--r", argv["--r"], "--rate", "0:0.01:0.01",
-                     "--rho-max", argv["--rho-max"],
+                     "--rho-max", argv["--rho-max"], "--which", which,
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
         assert not (tmp_path / "x.csv").exists()
@@ -421,7 +437,7 @@ class TestManifests:
         header, params = _manifest(manifest)
         assert set(params) == expected
         assert header["seed"] == ("4" if argv[0] == "simulate" else "")
-        if argv[0] == "exponents":  # ExSettings.rho_max, criterion 02's cap
+        if argv[0] == "exponents":  # ex_bounds.RHO_MAX, criterion 02's cap
             assert params["rho-max"] == "1000"
         outputs = sorted(p for p in tmp_path.iterdir()
                          if p.suffix in (".csv", ".dat"))

@@ -7,9 +7,8 @@ import scipy.integrate
 import scipy.optimize
 
 from freqchan import ex_bounds
-from freqchan.ex_bounds import (MEAN_ABS_XY, ExParams, ExSettings,
-                                ex_exponent, f_kappa, g_fn, j_fn, l_fn,
-                                s_fn)
+from freqchan.ex_bounds import (MEAN_ABS_XY, RHO_MAX, ExParams, ex_exponent,
+                                f_kappa, g_fn, j_fn, l_fn, s_fn)
 from freqchan.rc_bounds import BoundQuery
 
 pytestmark = pytest.mark.usefixtures("cold_bound_caches")
@@ -197,10 +196,9 @@ class TestKappaChain:
 
     def test_argmax_rho_within_cap(self):
         for rho_max in (2.0, 100.0, 1000.0):
-            settings = ExSettings(rho_max=rho_max)
             for r in (10.0, 100.0, 400.0):
                 for R in (0.0, 0.003, 0.006, 0.012, 0.014, 0.05):
-                    pt = ex_exponent(BoundQuery(R=R, r=r), settings)
+                    pt = ex_exponent(BoundQuery(R=R, r=r), rho_max)
                     assert 1.0 < pt.argmax.rho <= rho_max
                     assert pt.rho_capped == (pt.argmax.rho == rho_max)
 
@@ -349,9 +347,14 @@ class TestExExponent:
         s_at = s_fn(400.0, pt.argmax.rho)
         assert pt.E == pytest.approx(pt.argmax.rho * (s_at - 0.012), rel=1e-6)
 
+    def test_default_cap_is_rho_max(self):
+        query = BoundQuery(R=0.0, r=400.0)
+        pt = ex_exponent(query)
+        assert pt.rho_capped and pt.argmax.rho == RHO_MAX == 1000.0
+        assert ex_exponent(query, RHO_MAX) == pt == ex_exponent(query, 1000)
+
     def test_cap_controls_low_rate_value(self):
-        small = ExSettings(rho_max=100.0)
-        pt_small = ex_exponent(BoundQuery(R=0.0, r=400.0), small)
+        pt_small = ex_exponent(BoundQuery(R=0.0, r=400.0), rho_max=100.0)
         pt_big = ex_exponent(BoundQuery(R=0.0, r=400.0))
         assert pt_small.rho_capped and pt_big.rho_capped
         assert pt_small.E < pt_big.E
@@ -361,8 +364,7 @@ class TestExExponent:
                                                             second):
         # An int cap and the equal float share one cached rho end.
         for cap in (first, second):
-            rho = ex_exponent(BoundQuery(R=0.0, r=400.0),
-                              ExSettings(rho_max=cap)).argmax.rho
+            rho = ex_exponent(BoundQuery(R=0.0, r=400.0), cap).argmax.rho
             assert type(rho) is float and rho == 50.0
 
     def test_zero_beyond_crossover(self):
@@ -390,10 +392,9 @@ class TestExExponent:
         for r in (1e-10, 1.0, 400.0, 1e10):
             top, last = r * math.log(math.pi / 2.0) * (1.0 + 1e-15), 0.0
             for d in range(2, 309):
-                settings = ExSettings(rho_max=float(f"1e{d}"))
                 for R in (0.0, 0.005, 0.012, 0.05):
                     try:
-                        pt = ex_exponent(BoundQuery(R=R, r=r), settings)
+                        pt = ex_exponent(BoundQuery(R=R, r=r), float(f"1e{d}"))
                     except ValueError as exc:
                         assert R == 0.0 and "rho_max" in str(exc)
                         refused += 1
@@ -409,8 +410,18 @@ class TestExExponent:
             ExParams(kappa=0.0, sigma=0.5, lam=0.5, rho=2.0)
         with pytest.raises(ValueError):
             ExParams(kappa=0.5, sigma=0.5, lam=0.5, rho=1.0)
-        with pytest.raises(ValueError):
-            ExSettings(rho_max=1.0)
+
+    @pytest.mark.parametrize("rho_max", [
+        1, 1.0, 0.5, -math.inf, math.inf, math.nan, 10 ** 400, -10 ** 400,
+    ], ids=["int-1", "1.0", "0.5", "-inf", "inf", "nan", "int-1e400",
+            "int--1e400"])
+    def test_bad_cap_is_refused(self, rho_max):
+        # Before float(), so an integer past the float range is refused
+        # rather than an OverflowError; and before the check on r.
+        for r in (400.0, 1e20):
+            with pytest.raises(ValueError,
+                               match="rho_max must be finite and exceed 1"):
+                ex_exponent(BoundQuery(R=0.0, r=r), rho_max)
 
 
 def _counted_chain(monkeypatch) -> list[int]:
@@ -486,8 +497,7 @@ class TestRateRoot:
                 return max(vals[i], -res.fun, 0.0), i == 0
 
             for R in rates:
-                pt = ex_exponent(BoundQuery(R=R, r=r),
-                                 ExSettings(rho_max=rho_max))
+                pt = ex_exponent(BoundQuery(R=R, r=r), rho_max)
                 want, capped = scan(R)
                 assert pt.E == pytest.approx(want, rel=1e-9, abs=1e-12)
                 assert pt.rho_capped == capped
@@ -521,7 +531,7 @@ class TestRateRoot:
         # at r = 100), and at each cap and r one rate on each branch:
         # capped, interior root, the rho = 1 end with E > 0, and E = 0.  The
         # same points with and without the cache.
-        cases = [(BoundQuery(R=float(R), r=r), None)
+        cases = [(BoundQuery(R=float(R), r=r), RHO_MAX)
                  for r, top, k in ((400.0, 0.05, 45), (100.0, 0.02, 5))
                  for R in np.linspace(0.0, top, k)]
         groups = []
@@ -530,13 +540,13 @@ class TestRateRoot:
                 r_cap = ex_bounds._end(r, rho_max)[1]
                 k_one, r_one, chain = ex_bounds._end(r, 1.0)
                 groups.append((len(cases), k_one))
-                cases += [(BoundQuery(R=R, r=r), ExSettings(rho_max=rho_max))
+                cases += [(BoundQuery(R=R, r=r), rho_max)
                           for R in (0.5 * r_cap, 0.5 * (r_cap + r_one),
                                     0.5 * (r_one + chain[4]), 2.0 * chain[4])]
         ex_bounds._end.cache_clear()
-        cached = [ex_exponent(q, settings) for q, settings in cases]
+        cached = [ex_exponent(q, cap) for q, cap in cases]
         monkeypatch.setattr(ex_bounds, "_end", ex_bounds._end.__wrapped__)
-        assert [ex_exponent(q, settings) for q, settings in cases] == cached
+        assert [ex_exponent(q, cap) for q, cap in cases] == cached
         for i, k_one in groups:
             capped, inner, one, zero = cached[i:i + 4]
             assert capped.rho_capped
@@ -595,19 +605,18 @@ class TestRateRoot:
     def test_cap_within_ulps_of_one_bounds_the_witness(self, rho_max):
         # The rho = 1 end keeps r ell / G, which rounds up to ~4e-11 past
         # 1; under a smaller cap each call reports rho_max instead.
-        settings = ExSettings(rho_max=rho_max)
         for r in (1e-10, 1.0, 400.0, 1e10):
             _, r_one, chain = ex_bounds._end(r, 1.0)
             for R in (r_one, 0.5 * (r_one + chain[4]), 2.0 * chain[4], 1e3):
                 for _ in range(2):
-                    pt = ex_exponent(BoundQuery(R=R, r=r), settings)
+                    pt = ex_exponent(BoundQuery(R=R, r=r), rho_max)
                     assert 1.0 < pt.argmax.rho <= rho_max
 
     def test_cap_where_g_rounds_to_zero_raises_on_every_call(self):
-        query, settings = BoundQuery(R=0.0, r=1e-10), ExSettings(rho_max=1e22)
+        query = BoundQuery(R=0.0, r=1e-10)
         for _ in range(2):
             with pytest.raises(ValueError, match="rho_max 1e"):
-                ex_exponent(query, settings)
+                ex_exponent(query, 1e22)
         assert ex_bounds._end(1e-10, 1e22)[2][7] is None
 
     def test_s_fn_reads_the_end_g_bitwise(self):

@@ -45,7 +45,7 @@ FUNCTIONS = {
     "ex_exponent": (lambda R, r: freqchan.ex_exponent(
         freqchan.BoundQuery(R, r)), 2),
     "ex_exponent_rho_max": (lambda rho_max: freqchan.ex_exponent(
-        freqchan.BoundQuery(0.0, 400.0), freqchan.ExSettings(rho_max)), 1),
+        freqchan.BoundQuery(0.0, 400.0), rho_max), 1),
     "converse_rate": (freqchan.converse_rate, 1),
     "fir_rate": (lambda g, r: freqchan.fir_rate(freqchan.FirQuery(g, r)), 2),
     "log_gamma": (freqchan.log_gamma, 1),

@@ -7,8 +7,8 @@ import scipy.special
 
 from freqchan import rc_bounds
 from freqchan.optimize import newton_root
-from freqchan.rc_bounds import (BoundQuery, ExponentPoint, KlTailBound,
-                         RcParams, delta_fn, lambda_fn, lemma1_tail_bound,
+from freqchan.rc_bounds import (BoundQuery, ExponentPoint, RcParams,
+                         delta_fn, lambda_fn, lemma1_tail_bound,
                          rate_lower_bound, rc_exponent,
                          thm1_probability_bound)
 from freqchan.special_fn import psi_fn
@@ -453,11 +453,11 @@ class TestFiniteNBounds:
 
     def test_lemma1_formula_identity(self):
         tail = lemma1_tail_bound(100, 4.0, 0.1)
+        assert type(tail) is tuple and len(tail) == 2
+        bound, rho_n = tail
         want = math.sqrt(2.0 * math.pi * math.e * 400.0) * math.exp(-10.0)
-        assert tail.bound == pytest.approx(want, rel=1e-10)
-        assert tail.rho_n == pytest.approx((delta_fn(4.0) + 0.1) / 4.0,
-                                           rel=1e-12)
-        assert isinstance(tail, KlTailBound)
+        assert bound == pytest.approx(want, rel=1e-10)
+        assert rho_n == pytest.approx((delta_fn(4.0) + 0.1) / 4.0, rel=1e-12)
 
     def test_lemma1_domain(self):
         for n in (0, 10**400):

@@ -12,8 +12,8 @@ from freqchan.baselines import FirQuery
 from freqchan.channel import (BcTailReport, MomentReport, SimConfig,
                               SimReport, TailReport, estimate_bc_tail,
                               estimate_product_moment, ml_decode)
-from freqchan.ex_bounds import ExExponentPoint, ExParams, ExSettings
-from freqchan.rc_bounds import BoundQuery, ExponentPoint, KlTailBound, RcParams
+from freqchan.ex_bounds import ExExponentPoint, ExParams
+from freqchan.rc_bounds import BoundQuery, ExponentPoint, RcParams
 from freqchan.verify import run_suites
 
 
@@ -29,8 +29,6 @@ RECORDS = [
     (Empty, {}, {}),
     (BoundQuery, {"R": 0.5, "r": 400.0}, {}),
     (ExponentPoint, {"R": 0.1, "E": 0.2, "argmax": RcParams(0.5, 2.0)}, {}),
-    (KlTailBound, {"bound": 0.3, "rho_n": 0.01}, {}),
-    (ExSettings, {"rho_max": 50.0}, {"rho_max": 1000.0}),
     (ExParams, {"kappa": 0.3, "sigma": 0.4, "lam": 0.5, "rho": 2.0}, {}),
     (ExExponentPoint, {"R": 0.01, "E": 1.0,
                        "argmax": ExParams(0.3, 0.4, 0.5, 2.0),
@@ -125,16 +123,8 @@ def test_repr():
 
 def test_records_of_another_class_or_value_differ():
     assert BoundQuery(0.5, 400.0) != BoundQuery(0.5, 100.0)
-    assert KlTailBound(0.6, 1.0) != RcParams(0.6, 1.0)
+    assert BoundQuery(0.6, 1.0) != FirQuery(0.6, 1.0)
     assert len({BoundQuery(0.5, 400.0), BoundQuery(R=0.5, r=400.0)}) == 1
-
-
-def test_post_init_normalises_a_field():
-    settings = ExSettings(50)
-    assert type(settings.rho_max) is float
-    assert vars(settings) == {"rho_max": 50.0}
-    assert repr(settings) == "ExSettings(rho_max=50.0)"
-    assert settings == ExSettings(50.0)
 
 
 VALUE_CHECKS = [
@@ -148,7 +138,6 @@ VALUE_CHECKS = [
      "parallelism must be a positive count, got 0"),
     (ExponentPoint, {"R": 0.1, "E": -1.0, "argmax": RcParams(0.5, 1.0)},
      "exponent must be nonnegative"),
-    (ExSettings, {"rho_max": 1.0}, "rho_max must be finite and exceed 1"),
     (ExParams, {"kappa": 1.5, "sigma": 0.5, "lam": 0.5, "rho": 2.0},
      r"kappa must lie in \(0, 1\), got 1.5"),
     (FirQuery, {"g": 0.0, "r": 1.0}, "g must be positive, got 0.0"),
